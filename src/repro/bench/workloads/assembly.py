@@ -20,6 +20,7 @@ from repro.linalg.normal_equations import (
     scatter_normal_equations,
 )
 from repro.obs import metrics as obs_metrics
+from repro.obs.hotspot import stage_breakdown
 from repro.obs.spans import capture
 from repro.sparse.csr import CSRMatrix
 
@@ -38,15 +39,11 @@ def _time_variant(fn, R, Y, lam, repeats):
             elapsed = perf_counter() - t0
         if elapsed < best:
             best = elapsed
-            stage_seconds = {"S1": 0.0, "S2": 0.0}
-            for rec in tracer.records:
-                stage = rec.attrs.get("stage")
-                if stage in stage_seconds:
-                    stage_seconds[stage] += rec.duration
+            stages = stage_breakdown(tracer.records)
             split = {
                 "total_seconds": elapsed,
-                "s1_seconds": stage_seconds["S1"],
-                "s2_seconds": stage_seconds["S2"],
+                "s1_seconds": stages["S1"].seconds,
+                "s2_seconds": stages["S2"].seconds,
                 "gauges": obs_metrics.snapshot()["gauges"],
             }
     return split

@@ -17,6 +17,7 @@ from repro.datasets.catalog import MOVIELENS1M
 from repro.datasets.synthetic import generate_ratings
 from repro.linalg.normal_equations import DEFAULT_TILE_NNZ, tile_bytes_bound
 from repro.obs import metrics as obs_metrics
+from repro.obs.hotspot import stage_breakdown
 from repro.obs.spans import capture
 from repro.sparse.csr import CSRMatrix
 
@@ -43,16 +44,12 @@ def _time_variant(R, Y, assembly, tile_nnz, repeats):
         result = X
         if elapsed < best:
             best = elapsed
-            stage_seconds = {"S1": 0.0, "S2": 0.0, "S3": 0.0}
-            for rec in tracer.records:
-                stage = rec.attrs.get("stage")
-                if stage in stage_seconds:
-                    stage_seconds[stage] += rec.duration
+            stages = stage_breakdown(tracer.records)
             split = {
                 "total_seconds": elapsed,
-                "s1_seconds": stage_seconds["S1"],
-                "s2_seconds": stage_seconds["S2"],
-                "s3_seconds": stage_seconds["S3"],
+                "s1_seconds": stages["S1"].seconds,
+                "s2_seconds": stages["S2"].seconds,
+                "s3_seconds": stages["S3"].seconds,
                 "gauges": obs_metrics.snapshot()["gauges"],
             }
     return split, result

@@ -15,7 +15,13 @@ from time import perf_counter
 import numpy as np
 
 from repro.core.init import init_factors
-from repro.core.loss import regularized_loss, rmse
+from repro.core.loss import (
+    SolvedLoss,
+    penalty,
+    rmse,
+    rmse_from_sq,
+    squared_error,
+)
 from repro.core.subspace import (
     BLOCK_SCHEDULES,
     make_blocks,
@@ -208,6 +214,21 @@ def resolve_factor_dir(config: "ALSConfig") -> str | None:
     return config.factors_dir or tempfile.mkdtemp(prefix="repro-factors-")
 
 
+def solved_loss(
+    R_cols: CSRMatrix | ShardedCSR,
+    config: "ALSConfig",
+    blocks: tuple[tuple[int, int], ...] | None,
+    weighted: bool,
+) -> SolvedLoss | None:
+    """The fit's normal-equation loss tracker, or ``None`` when the loss
+    is not tracked or the item update is not one exact full-width solve
+    (strict subspace blocks fall back to the gathered loss)."""
+    if not config.track_loss or (blocks is not None and len(blocks) > 1):
+        return None
+    with span("als.loss.setup"):
+        return SolvedLoss(R_cols, config.lam, weighted=weighted)
+
+
 def train_als(
     ratings: COOMatrix | CSRMatrix | ShardStore,
     config: ALSConfig | None = None,
@@ -222,6 +243,11 @@ def train_als(
     the two half-sweeps of Algorithm 1: rows over the CSR view, columns
     over the CSC view (as the paper stores them, §III-A).  When a
     ``validation`` set is given its RMSE is tracked per iteration.
+
+    The tracked loss comes from the item half-sweep's normal equations
+    (:class:`~repro.core.loss.SolvedLoss`) whenever that sweep solves
+    every row exactly at full width; strict subspace blocks and the
+    held-out RMSE gather the ratings instead.
     """
     config = config or ALSConfig()
     R_rows, R_cols, loss_view = training_views(ratings)
@@ -256,6 +282,8 @@ def train_als(
             compute_dtype=config.assembly_dtype,
         )
         blocks = None if block_d is None else make_blocks(config.k, block_d)
+        solved = solved_loss(R_cols, config, blocks, weighted=False)
+        xb = None if solved is None else solved.xb
         elapsed = 0.0
         with SweepExecutor(config.workers) as executor:
             for it in range(1, config.iterations + 1):
@@ -276,7 +304,8 @@ def train_als(
                         with span("als.half_sweep", side="Y", iteration=it):
                             Y = executor.half_sweep(
                                 R_cols, X, config.lam, X_prev=Y,
-                                out=Y if inplace else None, **sweep_kw
+                                out=Y if inplace else None, xb_out=xb,
+                                **sweep_kw
                             )
                         obs_metrics.observe_latency(
                             "als.half_sweep.seconds", perf_counter() - t_hs
@@ -285,18 +314,20 @@ def train_als(
                         X, Y = subspace_iteration(
                             executor, R_rows, R_cols, X, Y, config.lam,
                             blocks, config.block_schedule, sweep_kw,
-                            inplace=inplace, iteration=it,
+                            inplace=inplace, iteration=it, xb_out=xb,
                         )
                     elapsed += perf_counter() - t_iter
                     if config.track_loss:
                         with span("als.loss", iteration=it):
+                            if solved is not None:
+                                sq = solved.sq_error(Y)
+                            else:
+                                sq = squared_error(loss_view, X, Y)
                             model.history.append(
                                 IterationStats(
                                     iteration=it,
-                                    loss=regularized_loss(
-                                        loss_view, X, Y, config.lam
-                                    ),
-                                    train_rmse=rmse(loss_view, X, Y),
+                                    loss=sq + penalty(X, Y, config.lam),
+                                    train_rmse=rmse_from_sq(sq, R_rows.nnz),
                                     validation_rmse=(
                                         rmse(validation, X, Y)
                                         if validation is not None

@@ -21,10 +21,11 @@ from repro.core.als import (
     ALSModel,
     IterationStats,
     resolve_factor_dir,
+    solved_loss,
     training_views,
 )
 from repro.core.init import init_factors
-from repro.core.loss import rmse
+from repro.core.loss import rmse_from_sq, squared_error
 from repro.core.subspace import (
     make_blocks,
     resolve_block_size,
@@ -65,7 +66,7 @@ def weighted_half_sweep(
     X = np.zeros((R.nrows, k), dtype=np.float64)
     if X_prev is not None:
         X[:] = X_prev
-    rows, X_rows = sweep_occupied(
+    rows, X_rows, _ = sweep_occupied(
         R, Y, lam, weighted=True, solver=solver,
         assembly=assembly, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
     )
@@ -78,8 +79,9 @@ def train_als_wr(
 ) -> ALSModel:
     """Train with weighted-λ regularization; same driver shape as ALS.
 
-    A :class:`ShardStore` input runs the blocked out-of-core sweeps,
-    exactly as :func:`train_als` does.
+    A :class:`ShardStore` input runs the blocked out-of-core sweeps, and
+    the loss comes from the item sweep's normal equations (with the
+    weighted ridge ``λ·n_i``), exactly as :func:`train_als` does.
     """
     config = config or ALSConfig()
     R_rows, R_cols, loss_view = training_views(ratings)
@@ -113,6 +115,8 @@ def train_als_wr(
             compute_dtype=config.assembly_dtype,
         )
         blocks = None if block_d is None else make_blocks(config.k, block_d)
+        solved = solved_loss(R_cols, config, blocks, weighted=True)
+        xb = None if solved is None else solved.xb
         elapsed = 0.0
         with SweepExecutor(config.workers) as executor:
             for it in range(1, config.iterations + 1):
@@ -133,7 +137,8 @@ def train_als_wr(
                         with span("als.half_sweep", side="Y", iteration=it):
                             Y = executor.half_sweep(
                                 R_cols, X, config.lam, X_prev=Y,
-                                out=Y if inplace else None, **sweep_kw
+                                out=Y if inplace else None, xb_out=xb,
+                                **sweep_kw
                             )
                         obs_metrics.observe_latency(
                             "als.half_sweep.seconds", perf_counter() - t_hs
@@ -142,20 +147,23 @@ def train_als_wr(
                         X, Y = subspace_iteration(
                             executor, R_rows, R_cols, X, Y, config.lam,
                             blocks, config.block_schedule, sweep_kw,
-                            inplace=inplace, iteration=it,
+                            inplace=inplace, iteration=it, xb_out=xb,
                         )
                     elapsed += perf_counter() - t_iter
                     if config.track_loss:
                         # The WR objective differs from Eq. 2; RMSE is the
                         # comparable metric, so loss tracking records the
-                        # (unweighted) fit term.
+                        # (unweighted) fit term Σ err².
                         with span("als.loss", iteration=it):
-                            err_rmse = rmse(loss_view, X, Y)
+                            if solved is not None:
+                                sq = solved.sq_error(Y)
+                            else:
+                                sq = squared_error(loss_view, X, Y)
                         model.history.append(
                             IterationStats(
                                 iteration=it,
-                                loss=err_rmse**2 * R_rows.nnz,
-                                train_rmse=err_rmse,
+                                loss=sq,
+                                train_rmse=rmse_from_sq(sq, R_rows.nnz),
                                 elapsed_seconds=elapsed,
                             )
                         )

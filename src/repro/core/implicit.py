@@ -223,6 +223,11 @@ def _weighted_loss(
     monitoring convergence direction cheaply).  A :class:`ShardedCSR`
     streams resident shards and accumulates partial sums (matching the
     in-RAM value to float64 rounding).
+
+    Unlike the explicit trainers' loss, this one is gathered every
+    iteration: the normal equations give row ``u``'s term as
+    ``Σc − x·b − xᵀ(YᵀY)x − λ‖x‖² + Σ_{i∈Ω_u} (x·y_i)²``, and that last
+    sum over the observed predictions is itself an nnz·k gather.
     """
     if isinstance(ratings, ShardedCSR):
         fit = 0.0

@@ -7,6 +7,19 @@
 Note the regularizer sums over *all* factor rows once (the standard ALS
 objective); each half-sweep is an exact minimizer of L in its own block,
 which gives the monotone-descent property the tests assert.
+
+The trainers do not re-gather the ratings to evaluate L after every
+iteration.  A half-sweep that solves row ``u`` exactly from
+``(Y_ΩᵀY_Ω + ρ_u I) x_u = b_u = Y_Ωᵀ r_u`` already holds everything its
+squared error needs:
+
+    ‖r_u − Y_Ω x_u‖² = ‖r_u‖² − x_u·b_u − ρ_u ‖x_u‖²
+
+with ``ρ_u = λ`` for ALS and ``λ·|Ω_u|`` for ALS-WR.  :class:`SolvedLoss`
+keeps the per-row ``‖r_u‖²`` of one fit and sums this identity over the
+per-row ``x·b`` the executor returns, at O(n·k) instead of the O(nnz·k)
+gather.  The gathered functions below remain for held-out ratings and
+for updates that are not exact full-width solves (strict iALS++ blocks).
 """
 
 from __future__ import annotations
@@ -14,9 +27,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparse.coo import COOMatrix
+from repro.sparse.csr import CSRMatrix
 from repro.sparse.shards import ShardedCSR
 
-__all__ = ["regularized_loss", "rmse", "mae"]
+__all__ = [
+    "regularized_loss",
+    "rmse",
+    "mae",
+    "squared_error",
+    "penalty",
+    "rmse_from_sq",
+    "SolvedLoss",
+]
 
 
 def _predicted(ratings: COOMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -33,10 +55,9 @@ def _err_reductions(
     """``(Σ err², Σ |err|)`` over observed entries, for either view.
 
     A :class:`ShardedCSR` streams one resident row-range shard at a
-    time (no prefetch — loss is off the hot path), accumulating partial
-    sums; each partial matches the in-RAM reduction to float64 rounding,
-    which is why the trainers' loss trajectories agree to 1e-10 rather
-    than bitwise.
+    time (no prefetch: the trainers call this only for updates the
+    normal-equation identity does not cover), accumulating partial sums;
+    each partial matches the in-RAM reduction to float64 rounding.
     """
     if isinstance(ratings, ShardedCSR):
         if X.shape[0] != ratings.shape[0] or Y.shape[0] != ratings.shape[1]:
@@ -57,21 +78,39 @@ def _err_reductions(
     return float(err @ err), float(np.abs(err).sum())
 
 
+def squared_error(
+    ratings: COOMatrix | ShardedCSR, X: np.ndarray, Y: np.ndarray
+) -> float:
+    """``Σ (r − x·y)²`` over the given ratings, gathered."""
+    return _err_reductions(ratings, X, Y)[0]
+
+
+def penalty(X: np.ndarray, Y: np.ndarray, lam: float) -> float:
+    """Eq. 2's regularizer ``λ (‖X‖² + ‖Y‖²)``."""
+    return lam * (float(np.sum(X * X)) + float(np.sum(Y * Y)))
+
+
 def regularized_loss(
     ratings: COOMatrix | ShardedCSR, X: np.ndarray, Y: np.ndarray, lam: float
 ) -> float:
     """Eq. 2: squared error over observed entries plus the λ penalty."""
-    sq, _ = _err_reductions(ratings, X, Y)
-    penalty = lam * (float(np.sum(X * X)) + float(np.sum(Y * Y)))
-    return sq + penalty
+    return squared_error(ratings, X, Y) + penalty(X, Y, lam)
+
+
+def rmse_from_sq(sq: float, nnz: int) -> float:
+    """RMSE from a squared-error sum over ``nnz`` ratings.  The normal-
+    equation identity can round an almost perfect fit's error a hair
+    below zero; that reads as 0."""
+    if nnz == 0:
+        return 0.0
+    return float(np.sqrt(max(sq, 0.0) / nnz))
 
 
 def rmse(ratings: COOMatrix | ShardedCSR, X: np.ndarray, Y: np.ndarray) -> float:
     """Root-mean-square error over the given ratings (train or held-out)."""
     if ratings.nnz == 0:
         return 0.0
-    sq, _ = _err_reductions(ratings, X, Y)
-    return float(np.sqrt(sq / ratings.nnz))
+    return rmse_from_sq(squared_error(ratings, X, Y), ratings.nnz)
 
 
 def mae(ratings: COOMatrix | ShardedCSR, X: np.ndarray, Y: np.ndarray) -> float:
@@ -80,3 +119,45 @@ def mae(ratings: COOMatrix | ShardedCSR, X: np.ndarray, Y: np.ndarray) -> float:
         return 0.0
     _, ab = _err_reductions(ratings, X, Y)
     return float(ab / ratings.nnz)
+
+
+class SolvedLoss:
+    """Training squared error read off the normal equations of a sweep.
+
+    Built once per fit for the matrix ``R`` whose rows the last
+    half-sweep of every iteration solves (the item side, ``R_cols``).
+    Pass :attr:`xb` as that half-sweep's ``xb_out``; afterwards
+    :meth:`sq_error` returns ``Σ (r − x·y)²`` over every rating from the
+    solved factors alone.  ``weighted`` selects ALS-WR's ridge
+    ``λ·|Ω_u|`` instead of ALS's ``λ``.
+
+    The identity holds only when every occupied row was just solved
+    exactly at full width; rows without ratings contribute zero.  All
+    per-row terms are summed in row order, so the result is the same
+    for any worker count.  With float32 assembly it describes the
+    rounded system, so it matches the gathered loss only to float32
+    precision (about 1e-7 relative).
+    """
+
+    def __init__(
+        self, R: CSRMatrix | ShardedCSR, lam: float, weighted: bool = False
+    ) -> None:
+        counts = np.asarray(R.row_lengths(), dtype=np.float64)
+        self.ridge = lam * (counts if weighted else (counts > 0))
+        self.rr = np.zeros(R.nrows)
+        if isinstance(R, ShardedCSR):
+            for sp, mat in R.iter_resident(prefetch=False):
+                self.rr[sp.row_start:sp.row_stop] = _row_sumsq(mat)
+        else:
+            self.rr[:] = _row_sumsq(R)
+        self.xb = np.zeros(R.nrows)
+
+    def sq_error(self, F: np.ndarray) -> float:
+        """``Σ_u (‖r_u‖² − x_u·b_u − ρ_u‖x_u‖²)`` for the solved factors ``F``."""
+        ridge_term = self.ridge * np.einsum("ij,ij->i", F, F)
+        return float((self.rr - self.xb - ridge_term).sum())
+
+
+def _row_sumsq(R: CSRMatrix) -> np.ndarray:
+    v = R.value.astype(np.float64)
+    return np.bincount(R.expanded_rows(), weights=v * v, minlength=R.nrows)

@@ -152,6 +152,7 @@ def subspace_iteration(
     grams: dict | None = None,
     inplace: bool = False,
     iteration: int = 0,
+    xb_out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One training iteration as a sequence of subspace block updates.
 
@@ -166,11 +167,17 @@ def subspace_iteration(
     themselves when ``inplace``), so each block reads the freshest
     complement coordinates — Gauss–Seidel across blocks, Jacobi within
     one (see the executor's snapshot contract).
+
+    ``xb_out`` is forwarded to the item-side update as the executor's
+    ``xb_out``; it is only meaningful for one full-width block, where
+    that update is the exact full sweep the loss identity needs.
     """
     if schedule not in BLOCK_SCHEDULES:
         raise ValueError(
             f"block_schedule must be one of {BLOCK_SCHEDULES}, got {schedule!r}"
         )
+    if xb_out is not None and len(blocks) != 1:
+        raise ValueError("xb_out needs a single full-width block")
     implicit = implicit_alpha is not None
     if implicit and grams is None:
         raise ValueError("implicit subspace descent needs a persistent grams dict")
@@ -207,7 +214,8 @@ def subspace_iteration(
         ):
             executor.half_sweep(
                 R, F_fixed, lam, X_prev=F_upd, out=F_upd,
-                col_block=(s, e), base_gram=base_gram, **call_kw,
+                col_block=(s, e), base_gram=base_gram,
+                xb_out=xb_out if side == "Y" else None, **call_kw,
             )
         if implicit:
             cache = grams.get(side)

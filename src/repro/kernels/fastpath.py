@@ -7,7 +7,10 @@ work-item kernels is asserted by the test suite on small instances
 (tests/kernels/), which is what licenses the solvers to use it.
 
 ``sweep_occupied`` is the shard-sized kernel: assembly (S1/S2) plus the
-batched solve (S3) over the *occupied* rows of one CSR matrix.  The
+batched solve (S3) over the *occupied* rows of one CSR matrix.  Next to
+the solved factors it returns each row's ``x·b``, the one per-row number
+the trainers need to read the training loss off the normal equations
+instead of re-gathering every rating (:mod:`repro.core.loss`).  The
 serial sweeps here wrap it for a whole matrix; the parallel executor
 (:mod:`repro.parallel`) runs it once per nnz-balanced row shard on a
 thread pool — BLAS and LAPACK release the GIL inside the batched GEMMs
@@ -52,11 +55,13 @@ def sweep_occupied(
     base_gram: np.ndarray | None = None,
     col_block: tuple[int, int] | None = None,
     X_current: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assemble and solve the occupied rows of ``R``; empty rows cost nothing.
 
-    Returns ``(rows, X_rows)``: the occupied row indices and their solved
-    factors.  Assembly is restricted to the (cached) occupied submatrix
+    Returns ``(rows, X_rows, xb)``: the occupied row indices, their solved
+    factors, and each solved row's ``x·b`` — the dot product of the
+    solution with the right-hand side it solved.  Assembly is restricted
+    to the (cached) occupied submatrix
     *before* S1, so an all-empty tail — common in the CSC sweep of a
     cold-start corpus — never allocates normal equations at all.
 
@@ -104,7 +109,7 @@ def sweep_occupied(
         raise ValueError(f"X_current must have shape {(R.nrows, k)}")
     rows, sub = R.occupied_submatrix()
     if rows.size == 0:
-        return rows, np.zeros((0, d), dtype=np.float64)
+        return rows, np.zeros((0, d), dtype=np.float64), np.zeros(0)
     # At full width Y[:, 0:k] is a plain view and every complement term
     # below is skipped, so the blocked path degenerates to the historical
     # sweep operation-for-operation (bitwise d == k reduction).
@@ -177,7 +182,7 @@ def sweep_occupied(
     with span(s3_name, stage="S3", solver=solver_name, k=d, batch=rows.size):
         obs_metrics.inc(f"solver.{solver_name}.calls")
         X_rows = solver_fn(solver_name)(A, b)
-    return rows, X_rows
+    return rows, X_rows, np.einsum("ij,ij->i", X_rows, b)
 
 
 def fast_half_sweep(
@@ -226,7 +231,7 @@ def fast_half_sweep(
         if X_prev.shape != (m, k):
             raise ValueError(f"X_prev must have shape {(m, k)}")
         X[:] = X_prev
-    rows, X_rows = sweep_occupied(
+    rows, X_rows, _ = sweep_occupied(
         R, Y, lam, solver=solver, cholesky=cholesky,
         assembly=assembly, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
     )

@@ -22,10 +22,13 @@ variants:
   dense ``(rows, width, k)`` block of ``Y`` and reduces it with one
   batched GEMM (``Gᵀ G``), tiled so peak scratch never exceeds an
   nnz budget — the tile budget plays the role of the paper's bounded
-  local-memory working set.  S2 runs as a ``bincount`` segment-sum
-  (:meth:`CSRMatrix.matmat`).  An optional float32 compute mode mirrors
-  the paper's single-precision kernels (§IV); accumulation into the
-  returned ``A``/``b`` stays float64.
+  local-memory working set.  S2 is fused into the same tile loop: the
+  gathered ``Y`` block that S1 reduces also yields the tile's right-hand
+  sides as one batched matvec of the tile's values against it — the
+  paper's local-memory staging, where the columns of ``Y`` are read once
+  and serve both S1 and S2 (§III-C).  An optional float32 compute mode
+  mirrors the paper's single-precision kernels (§IV); accumulation into
+  the returned ``A``/``b`` stays float64.
 
 ``batched_normal_equations`` dispatches between them (explicit argument >
 :func:`configure_assembly` > ``REPRO_ASSEMBLY``-style env vars >
@@ -43,6 +46,14 @@ machinery instead of a private ``(nnz, k, k)`` scatter kernel.  Weighted
 calls report under the ``als.implicit.s1``/``als.implicit.s2`` span
 names (stage attrs unchanged, so the hotspot table folds them into the
 same S1/S2/S3 decomposition).
+
+In the binned path each tile's fused S2 matvec runs in its own child
+span (``stage="S2"``) nested inside the S1 span; the hotspot table
+counts stage time by self time, so S1 reports the gather and GEMMs and
+S2 the matvecs, without double counting.  Because ``b`` is exactly the
+RHS each row is solved against, the trainers also take their training
+loss from it: after an exact solve, ``‖r_u − Y_Ω x_u‖² = ‖r_u‖² −
+x_u·b_u − λ‖x_u‖²`` (see :mod:`repro.core.loss`).
 """
 
 from __future__ import annotations
@@ -221,7 +232,9 @@ def tile_bytes_bound(
     ``tile_nnz / max(k, width)`` rows, so the dominant terms are the
     ``(rows, width, k)`` gather and the ``(rows, k, k)`` GEMM output,
     both bounded by ``tile_nnz · k`` elements; index/mask arrays add
-    ``tile_nnz`` int64/int64/bool/compute entries.  The weighted
+    ``tile_nnz`` int64/int64/bool/compute entries, and the fused S2 adds
+    the gathered RHS values and the ``(rows, k)`` matvec output, each at
+    most ``tile_nnz`` compute entries.  The weighted
     (implicit) kernel adds one more ``tile_nnz · k`` operand (the
     weight-scaled gather) and the gathered weights themselves.  Tests
     assert the measured ``assembly.peak_tile_bytes`` gauge against this
@@ -233,7 +246,8 @@ def tile_bytes_bound(
     gemm_out = tile_nnz * k * cs  # (rows, k, k) with rows <= tile_nnz / k
     indices = tile_nnz * 16  # position + column gather, int64 each
     mask = tile_nnz * (1 + cs)  # bool validity + its compute-dtype cast
-    bound = gather + gemm_out + indices + mask
+    rhs = 2 * tile_nnz * cs  # gathered RHS values + the fused S2 output
+    bound = gather + gemm_out + indices + mask + rhs
     if weighted:
         bound += tile_nnz * k * cs  # Gw, the weight-scaled gather
         bound += 2 * tile_nnz * cs  # gathered weights + their masked copy
@@ -356,6 +370,10 @@ def binned_normal_equations(
     ``nnz_weight`` turns the Gram sum into ``Σ w_e · y_e y_eᵀ`` by
     scaling one GEMM operand per tile — the padding mask folds into the
     weights, so the weighted kernel obeys the identical tile budget.
+
+    S2 is fused: each tile computes its rows' ``b = Gᵀ v`` from the same
+    gathered block ``G`` as one batched matvec, where ``v`` holds the
+    tile's values (or ``rhs_nnz_value``) with the padding masked out.
     """
     tile = _resolve_tile(tile_nnz)
     cdtype = _resolve_dtype(compute_dtype)
@@ -367,6 +385,7 @@ def binned_normal_equations(
     w_all = _check_nnz_vector(nnz_weight, R.nnz, "nnz_weight")
     rv = _check_nnz_vector(rhs_nnz_value, R.nnz, "rhs_nnz_value")
     wc = None if w_all is None else w_all.astype(cdtype)
+    vals = R.value if rv is None else rv
     s1_name, s2_name = _span_names(w_all is not None)
     enabled = is_enabled()
     peak_tile_bytes = 0
@@ -378,6 +397,7 @@ def binned_normal_equations(
         bins = R.degree_bins(growth)
         s1.set(bins=len(bins))
         A = np.zeros((m, k, k), dtype=np.float64)
+        b = np.zeros((m, k), dtype=np.float64)
         for b_ in bins:
             width = b_.width
             rows_per_tile = max(1, tile // max(width, k))
@@ -413,6 +433,23 @@ def binned_normal_equations(
                             vmask = None
                         cols = R.col_idx[idx]
                         G = Yc[cols]
+                        # Fused S2 on the staged block, b = Gᵀ v, with the
+                        # padding lanes of v zeroed.  It runs before the
+                        # S1 GEMM so its scratch is gone when the GEMM
+                        # output is allocated.
+                        vt = vals[idx].astype(cdtype, copy=False)
+                        if vmask is not None:
+                            vt *= vmask
+                        with span(
+                            s2_name, stage="S2", nnz=int(vt.size), k=k,
+                            mode="binned",
+                        ):
+                            rhs = (vt[:, None, :] @ G)[:, 0, :]
+                        # float64 accumulation (segments of one long row
+                        # add up here) even in float32 compute mode.
+                        b[rows_t] += rhs
+                        tile_bytes += vt.nbytes + rhs.nbytes
+                        del vt, rhs
                         if wc is None:
                             if vmask is not None:
                                 G *= vmask[:, :, None]
@@ -446,12 +483,6 @@ def binned_normal_equations(
                     A[rows_t] = acc
         d = _diag(k)
         A[:, d, d] += lam
-    with span(s2_name, stage="S2", nnz=R.nnz, k=k, mode="binned"):
-        # S2 is exactly the sparse product R @ Y (with the per-nnz RHS
-        # coefficients substituted for the stored values when given);
-        # matmat's bincount segment-sum does it in k C-speed passes with
-        # O(nnz) scratch.
-        b = R.matmat(Yc, values=rv)
     if enabled:
         obs_metrics.set_gauge("assembly.bins", len(bins))
         obs_metrics.set_gauge("assembly.peak_tile_bytes", peak_tile_bytes)

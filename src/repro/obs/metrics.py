@@ -33,7 +33,7 @@ import math
 import threading
 from typing import Iterator, Sequence
 
-from repro.obs.spans import SpanRecord, is_enabled, set_span_observer
+from repro.obs.spans import SpanRecord, StageFold, is_enabled, set_span_observer
 
 __all__ = [
     "Counter",
@@ -558,19 +558,23 @@ def reset() -> None:
 # duplicating timers at every call site, a span-end observer on the
 # global tracer folds those measured durations into per-stage latency
 # distributions.  Only measured host spans count — simulated kernel
-# launches carry cat="kernel" and are excluded.
+# launches carry cat="kernel" and are excluded.  Each observation is the
+# span's stage self time (StageFold), so S2 spans nested in S1's tile
+# loop are not also counted as S1.
 
 _STAGE_SERIES = {"S1": "stage.s1.seconds", "S2": "stage.s2.seconds",
                  "S3": "stage.s3.seconds"}
+_STAGE_FOLD = StageFold()
 
 
 def _span_end_observer(record: SpanRecord) -> None:
-    if record.cat != "host":
+    folded = _STAGE_FOLD.add(record)
+    if folded is None or record.cat != "host":
         return
-    name = _STAGE_SERIES.get(record.attrs.get("stage"))
+    name = _STAGE_SERIES.get(folded[0])
     if name is not None:
-        _REGISTRY.histogram(name).observe(record.duration)
-        _REGISTRY.quantile(name).observe(record.duration)
+        _REGISTRY.histogram(name).observe(folded[1])
+        _REGISTRY.quantile(name).observe(folded[1])
 
 
 set_span_observer(_span_end_observer)

@@ -52,6 +52,7 @@ __all__ = [
     "set_clock",
     "set_span_observer",
     "clear",
+    "StageFold",
 ]
 
 
@@ -186,6 +187,32 @@ class Tracer:
     def _record(self, record: SpanRecord) -> None:
         with self._lock:
             self.records.append(record)
+
+
+class StageFold:
+    """Folds finished spans into per-stage *self* time.
+
+    A span's ``self_duration`` is charged to the ``stage`` attribute of
+    its nearest stage-tagged ancestor-or-self, so a stage span nested in
+    another stage's span (the fused S2 matvec inside S1's tile loop) is
+    counted once, under its own stage, while untagged helper spans (S1's
+    per-bin spans) stay inside the stage that encloses them.  Feed
+    records children first — the order a :class:`Tracer` records them.
+    """
+
+    def __init__(self) -> None:
+        self._carry: dict[int, float] = {}
+
+    def add(self, record: SpanRecord) -> tuple[str, float] | None:
+        """``(stage, seconds)`` when ``record`` is stage-tagged, else ``None``."""
+        own = record.self_duration + self._carry.pop(record.span_id, 0.0)
+        stage = record.attrs.get("stage")
+        if stage is not None:
+            return stage, own
+        parent = record.parent_id
+        if parent is not None:
+            self._carry[parent] = self._carry.get(parent, 0.0) + own
+        return None
 
 
 _ENABLED = False

@@ -169,6 +169,7 @@ class SweepExecutor:
         base_gram: np.ndarray | None = None,
         out: np.ndarray | None = None,
         col_block: tuple[int, int] | None = None,
+        xb_out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Update all rows of ``R`` (Eq. 4), sharded across the pool.
 
@@ -205,6 +206,12 @@ class SweepExecutor:
         scattered, so every row sees start-of-block values (Jacobi within
         the block) and the parallel block update stays bitwise-identical
         to the serial one.
+
+        ``xb_out``, an ``(m,)`` float64 array, receives each solved row's
+        ``x·b`` (zero for rows without ratings), scattered by row index —
+        so a sum over it in row order is the same for every worker count
+        and shard layout.  After a full-width sweep it is what the
+        trainers read the training loss from (:mod:`repro.core.loss`).
         """
         if lam <= 0:
             raise ValueError("lam must be positive (λI keeps smat SPD)")
@@ -223,6 +230,10 @@ class SweepExecutor:
             col_block=col_block,
         )
         X = self._prepare_out(R.nrows, k, X_prev, out)
+        if xb_out is not None:
+            if xb_out.shape != (R.nrows,) or xb_out.dtype != np.float64:
+                raise ValueError(f"xb_out must be float64 of shape {(R.nrows,)}")
+            xb_out[:] = 0.0
         if isinstance(R, ShardedCSR):
             extra = solve_bytes_per_row(k)
             spans = R.shards(extra)
@@ -240,11 +251,13 @@ class SweepExecutor:
                         rows=sp.nrows,
                         nnz=sp.nnz,
                     ):
-                        self._sweep_into(X, sp.row_start, mat, Y, lam, kernel_kw)
+                        self._sweep_into(
+                            X, xb_out, sp.row_start, mat, Y, lam, kernel_kw
+                        )
             if is_enabled():
                 obs_metrics.set_gauge("sweep.resident_shards", len(spans))
             return X
-        self._sweep_into(X, 0, R, Y, lam, kernel_kw)
+        self._sweep_into(X, xb_out, 0, R, Y, lam, kernel_kw)
         return X
 
     @staticmethod
@@ -270,6 +283,7 @@ class SweepExecutor:
     def _sweep_into(
         self,
         X: np.ndarray,
+        xb_out: np.ndarray | None,
         base_row: int,
         R: CSRMatrix,
         Y: np.ndarray,
@@ -283,18 +297,20 @@ class SweepExecutor:
         # whole row — identical to the unblocked sweep.
         strict = block is not None and block[1] - block[0] < k
 
-        def scatter(idx: np.ndarray, vals: np.ndarray) -> None:
+        def scatter(idx: np.ndarray, vals: np.ndarray, xb: np.ndarray) -> None:
             if block is None:
                 X[idx] = vals
             else:
                 X[idx, block[0]:block[1]] = vals
+            if xb_out is not None:
+                xb_out[idx] = xb
 
         if self.workers <= 1:
             kw = kernel_kw
             if strict:
                 kw = dict(kernel_kw, X_current=X[base_row:base_row + R.nrows])
-            rows, X_rows = sweep_occupied(R, Y, lam, **kw)
-            scatter(base_row + rows, X_rows)
+            rows, X_rows, xb = sweep_occupied(R, Y, lam, **kw)
+            scatter(base_row + rows, X_rows, xb)
             return
 
         shards = R.row_shards(self.workers)
@@ -302,8 +318,8 @@ class SweepExecutor:
             kw = kernel_kw
             if strict:
                 kw = dict(kernel_kw, X_current=X[base_row:base_row + R.nrows])
-            rows, X_rows = sweep_occupied(R, Y, lam, **kw)
-            scatter(base_row + rows, X_rows)
+            rows, X_rows, xb = sweep_occupied(R, Y, lam, **kw)
+            scatter(base_row + rows, X_rows, xb)
             return
 
         enabled = is_enabled()
@@ -325,8 +341,8 @@ class SweepExecutor:
                 )
             shard_seconds = []
             for shard, fut in zip(shards, futures):
-                rows, X_rows, seconds = fut.result()
-                scatter(base_row + shard.rows[rows], X_rows)
+                rows, X_rows, xb, seconds = fut.result()
+                scatter(base_row + shard.rows[rows], X_rows, xb)
                 shard_seconds.append(seconds)
         if enabled:
             planned = np.array([s.nnz for s in shards], dtype=np.float64)
@@ -351,7 +367,7 @@ class SweepExecutor:
     @staticmethod
     def _run_shard(
         index: int, shard: RowShard, Y: np.ndarray, lam: float, kernel_kw: dict
-    ) -> tuple[np.ndarray, np.ndarray, float]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         t0 = perf_counter()
         with span(
             "als.shard",
@@ -359,5 +375,5 @@ class SweepExecutor:
             rows=int(shard.rows.size),
             nnz=shard.nnz,
         ):
-            rows, X_rows = sweep_occupied(shard.matrix, Y, lam, **kernel_kw)
-        return rows, X_rows, perf_counter() - t0
+            rows, X_rows, xb = sweep_occupied(shard.matrix, Y, lam, **kernel_kw)
+        return rows, X_rows, xb, perf_counter() - t0

@@ -137,11 +137,11 @@ def fold_in_factors(
             # would break the bitwise parity with a fresh half-sweep.
             Y = np.ascontiguousarray(basis, dtype=np.float64)
             YtY = Y.T @ Y
-            rows, X_rows = sweep_occupied(
+            rows, X_rows, _ = sweep_occupied(
                 R_new, Y, lam, implicit_alpha=float(alpha), base_gram=YtY, **kw
             )
         else:
-            rows, X_rows = sweep_occupied(
+            rows, X_rows, _ = sweep_occupied(
                 R_new, basis, lam, weighted=(algorithm == "als-wr"), **kw
             )
     X_new = np.zeros((R_new.nrows, k), dtype=np.float64)

@@ -333,13 +333,15 @@ class CSRMatrix:
         if self._occupied_sub is None:
             lengths = self.row_lengths()
             rows = np.nonzero(lengths > 0)[0]
-            if rows.size == self.nrows:
-                sub = self
-            else:
-                sub = self.take_rows(rows)
+            # ``None`` stands for ``self``: caching the matrix inside
+            # itself would be a reference cycle, which keeps every fully
+            # occupied view (and its cached bins) alive until a full
+            # garbage collection instead of freeing it with its owner.
+            sub = None if rows.size == self.nrows else self.take_rows(rows)
             rows.setflags(write=False)
             self._occupied_sub = (rows, sub)
-        return self._occupied_sub
+        rows, sub = self._occupied_sub
+        return rows, self if sub is None else sub
 
     def row_shards(self, nparts: int) -> tuple[RowShard, ...]:
         """Occupied rows split into ``nparts`` nnz-balanced CSR shards.
@@ -391,9 +393,9 @@ class CSRMatrix:
     def matmat(self, B: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
         """Sparse matrix–dense matrix product ``R @ B``.
 
-        One bincount segment-sum per output column: peak scratch is two
-        length-nnz vectors regardless of ``B``'s width, versus the
-        ``(nnz, width)`` gather the previous ``np.add.at`` path built.
+        One pass of SciPy's CSR kernel over the non-zeros: each row
+        accumulates ``w_e · B[col_e]`` in storage order, with no
+        per-column passes and no ``(nnz, width)`` gather.
 
         ``values`` substitutes a per-non-zero coefficient array (aligned
         with ``self.value``) for the stored values — the hook the
@@ -403,19 +405,18 @@ class CSRMatrix:
         B = np.asarray(B, dtype=np.float64)
         if B.ndim != 2 or B.shape[0] != self.ncols:
             raise ValueError(f"dense operand must have {self.ncols} rows")
-        rows = self.expanded_rows()
         if values is None:
             w = self.value.astype(np.float64)
         else:
             w = np.asarray(values, dtype=np.float64)
             if w.shape != (self.nnz,):
                 raise ValueError(f"values must have shape ({self.nnz},)")
-        out = np.empty((self.nrows, B.shape[1]), dtype=np.float64)
-        for j in range(B.shape[1]):
-            out[:, j] = np.bincount(
-                rows, weights=w * B[self.col_idx, j], minlength=self.nrows
-            )
-        return out
+        # Imported here: matmat is off the training hot path, and SciPy
+        # costs every importer of the package ~13 MB of resident memory.
+        import scipy.sparse
+
+        R = scipy.sparse.csr_matrix((w, self.col_idx, self.row_ptr), shape=self.shape)
+        return np.asarray(R @ B)
 
     def transpose_to_csr(self) -> "CSRMatrix":
         """Return the transpose, itself in CSR form (= this matrix in CSC)."""

@@ -276,3 +276,60 @@ class TestAssembleHelpers:
         Y32 = Y.astype(np.float32)
         assert _as_float(Y32, np.dtype(np.float32)) is Y32
         assert _as_float(Y32, np.dtype(np.float64)) is not Y32
+
+
+class TestFusedS2:
+    """S2 comes from the S1 tile gather, not from a separate R @ Y pass."""
+
+    def _oracle(self, R, Y, values=None):
+        return R.matmat(Y, values=values)
+
+    @pytest.mark.parametrize("tile_nnz", (8, 64, DEFAULT_TILE_NNZ))
+    def test_rhs_matches_matmat(self, rng, tile_nnz):
+        # Heavy rows wider than small tiles exercise the segmented
+        # (cross-segment accumulated) path as well as padded bins.
+        R = _random_matrix(rng, 50, 40, 0.3, skewed=True)
+        Y = rng.standard_normal((40, 6))
+        _, b = binned_normal_equations(R, Y, 0.1, tile_nnz=tile_nnz)
+        np.testing.assert_allclose(b, self._oracle(R, Y), rtol=1e-12, atol=1e-12)
+
+    def test_weighted_rhs_uses_override_values(self, rng):
+        R = _random_matrix(rng, 40, 30, 0.3, skewed=True)
+        Y = rng.standard_normal((30, 5))
+        w = 3.0 * R.value.astype(np.float64)
+        rv = 1.0 + w
+        _, b = binned_normal_equations(
+            R, Y, 0.1, tile_nnz=16, nnz_weight=w, rhs_nnz_value=rv
+        )
+        np.testing.assert_allclose(
+            b, self._oracle(R, Y, values=rv), rtol=1e-12, atol=1e-12
+        )
+
+    def test_float32_rhs_accumulates_in_float64(self, rng):
+        R = _random_matrix(rng, 40, 30, 0.4, skewed=True)
+        Y = rng.standard_normal((30, 5))
+        _, b = binned_normal_equations(R, Y, 0.1, tile_nnz=16, compute_dtype="float32")
+        assert b.dtype == np.float64
+        np.testing.assert_allclose(b, self._oracle(R, Y), rtol=1e-5, atol=1e-5)
+
+    def test_no_separate_matmat_pass(self, rng, monkeypatch):
+        R = _random_matrix(rng, 30, 20, 0.3)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("binned assembly must not call matmat")
+
+        monkeypatch.setattr(CSRMatrix, "matmat", forbidden)
+        binned_normal_equations(R, rng.standard_normal((20, 4)), 0.1)
+
+    def test_one_s2_span_per_tile(self, rng):
+        R = _random_matrix(rng, 60, 40, 0.5, skewed=True)
+        Y = rng.standard_normal((40, 7))
+        obs_metrics.reset()
+        with capture() as tracer:
+            binned_normal_equations(R, Y, 0.1, tile_nnz=128)
+        s2 = [r for r in tracer.records if r.attrs.get("stage") == "S2"]
+        assert len(s2) == obs_metrics.snapshot()["counters"]["assembly.tiles"]
+        assert all(r.name == "als.s2.rhs" and r.duration > 0 for r in s2)
+        s1 = [r for r in tracer.records if r.attrs.get("stage") == "S1"]
+        assert len(s1) == 1
+        assert all(s1[0].start <= r.start and r.end <= s1[0].end for r in s2)

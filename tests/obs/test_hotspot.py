@@ -23,10 +23,12 @@ class TestStageBreakdown:
     def test_all_stages_present_with_expected_calls(self, run_records):
         stages = hotspot.stage_breakdown(run_records)
         assert set(stages) == {"S1", "S2", "S3"}
-        # 3 iterations x 2 half-sweeps, one stage span each
+        # 3 iterations x 2 half-sweeps, one S1 and one S3 span each; the
+        # fused S2 runs one span per assembly tile inside S1.
         for stat in stages.values():
-            assert stat.calls == 6
             assert stat.seconds > 0
+        assert stages["S1"].calls == stages["S3"].calls == 6
+        assert stages["S2"].calls >= 6
 
     def test_stages_sum_to_sweep_total(self, run_records):
         """S1+S2+S3 ≈ the parent half-sweep span (small residual only)."""
@@ -84,3 +86,48 @@ class TestDeterministicShares:
         stages = hotspot.stage_breakdown(t.records)
         assert [stages[s].seconds for s in ("S1", "S2", "S3")] == [1.0, 1.0, 1.0]
         assert hotspot.sweep_seconds(t.records) == 7.0
+
+    def test_nested_s2_counts_as_self_time(self):
+        """An S2 span inside S1 (the fused tile matvec) is charged to S2
+        only; S1 keeps its untagged child spans (the per-bin spans)."""
+        t = Tracer(clock=iter(range(100)).__next__)
+        with t.span("als.half_sweep"):  # 0..9
+            with t.span("als.s1.gram", stage="S1"):  # 1..6 → 5s
+                with t.span("als.s1.bin"):  # 2..5 → 3s
+                    with t.span("als.s2.rhs", stage="S2"):  # 3..4 → 1s
+                        pass
+            with t.span("als.s3.solve", stage="S3"):  # 7..8 → 1s
+                pass
+        stages = hotspot.stage_breakdown(t.records)
+        assert [stages[s].seconds for s in ("S1", "S2", "S3")] == [4.0, 1.0, 1.0]
+        # The order records arrive in does not matter.
+        shuffled = hotspot.stage_breakdown(sorted(t.records, key=lambda r: r.start))
+        assert shuffled == stages
+
+    def test_fit_rows_and_shares(self):
+        t = Tracer(clock=iter(range(100)).__next__)
+        with t.span("als.train"):  # 0..11 → 11s
+            with t.span("als.half_sweep"):  # 1..4 → 3s
+                with t.span("als.s1.gram", stage="S1"):  # 2..3 → 1s
+                    pass
+            with t.span("als.loss"):  # 5..6 → 1s
+                pass
+            with t.span("als.loss.setup"):  # 7..8 → 1s
+                pass
+            with t.span("als.build_views"):  # 9..10
+                pass
+        rows = {}
+        for line in hotspot.render_hotspot_table(t.records).splitlines():
+            cells = [c.strip() for c in line.split("|")]
+            if len(cells) == 4:
+                rows[cells[0]] = (cells[2], cells[3])
+        assert float(rows["loss"][0]) == 2.0 and rows["loss"][1] == "18.2%"
+        assert float(rows["fit total"][0]) == 11.0
+        assert rows["fit total"][1] == "100.0%"
+        # The fit residual closes the sum: 11 - 3 (sweep) - 2 (loss) = 6.
+        assert float(rows["fit residual"][0]) == 6.0
+        assert rows["half-sweep total"][1] == "27.3%"
+
+    def test_real_run_shows_loss_and_fit(self, run_records):
+        table = hotspot.render_hotspot_table(run_records)
+        assert "loss" in table and "fit total" in table

@@ -92,6 +92,42 @@ class TestCSROperations:
             small_ratings.matmat(B), small_ratings.to_dense() @ B, rtol=1e-6
         )
 
+    @staticmethod
+    def _per_column_matmat(R, B, values=None):
+        """The former implementation: one bincount segment-sum per column."""
+        w = R.value.astype(np.float64) if values is None else values
+        out = np.empty((R.nrows, B.shape[1]))
+        for j in range(B.shape[1]):
+            out[:, j] = np.bincount(
+                R.expanded_rows(), weights=w * B[R.col_idx, j], minlength=R.nrows
+            )
+        return out
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_matmat_matches_per_column_passes(self, seed):
+        rng = np.random.default_rng(seed)
+        dense = np.where(rng.random((70, 45)) < 0.2, rng.uniform(1, 5, (70, 45)), 0.0)
+        dense[::5] = 0.0  # empty rows
+        R = CSRMatrix.from_dense(dense)
+        B = rng.standard_normal((45, 9))
+        v = rng.standard_normal(R.nnz)
+        for values in (None, v):
+            got = R.matmat(B, values=values)
+            want = self._per_column_matmat(R, B, values)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(got[::5], 0.0)
+
+    def test_matmat_empty_matrix(self):
+        R = CSRMatrix.from_coo(COOMatrix((3, 4), [], [], []))
+        out = R.matmat(np.ones((4, 2)))
+        assert out.shape == (3, 2) and not out.any()
+
+    def test_matmat_values_shape_check(self, small_ratings):
+        with pytest.raises(ValueError):
+            small_ratings.matmat(
+                np.zeros((small_ratings.ncols, 2)), values=np.ones(small_ratings.nnz + 1)
+            )
+
     def test_matmat_shape_check(self, small_ratings):
         with pytest.raises(ValueError):
             small_ratings.matmat(np.zeros((small_ratings.ncols + 2, 3)))
