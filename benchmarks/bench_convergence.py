@@ -61,26 +61,14 @@ def _train_curve(
     block_schedule: str,
 ) -> tuple[object, list[tuple[float, float]]]:
     """``(model, [(loss, cumulative_elapsed_seconds), ...])`` per iteration."""
-    from repro.core.als import ALSConfig, train_als
-    from repro.core.alswr import train_als_wr
-    from repro.core.implicit import ImplicitConfig, train_implicit_als
+    from repro.core.als import TrainConfig, train
 
-    if algorithm == "implicit":
-        cfg = ImplicitConfig(
-            k=k, lam=LAM, alpha=ALPHA, iterations=iterations, seed=seed,
-            block_size=block_size, block_schedule=block_schedule,
-        )
-        model = train_implicit_als(ratings, cfg)
-        stats = model.stats
-    else:
-        cfg = ALSConfig(
-            k=k, lam=LAM, iterations=iterations, seed=seed,
-            block_size=block_size, block_schedule=block_schedule,
-        )
-        trainer = train_als if algorithm == "als" else train_als_wr
-        model = trainer(ratings, cfg)
-        stats = model.history
-    return model, [(float(s.loss), float(s.elapsed_seconds)) for s in stats]
+    cfg = TrainConfig(
+        k=k, lam=LAM, alpha=ALPHA, iterations=iterations, seed=seed,
+        block_size=block_size, block_schedule=block_schedule,
+    )
+    model = train(ratings, cfg, algorithm)
+    return model, [(float(s.loss), float(s.elapsed_seconds)) for s in model.history]
 
 
 def _time_to_target(curve: list[tuple[float, float]], target: float) -> float:

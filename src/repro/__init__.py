@@ -12,7 +12,7 @@ Quickstart::
     import repro
 
     problem = repro.generate_ratings(repro.MOVIELENS10M.scaled(1 / 256))
-    model = repro.train_als(problem, repro.ALSConfig(k=10, lam=0.1))
+    model = repro.train(problem, repro.TrainConfig(k=10, lam=0.1))
     print(model.history[-1].train_rmse)
 
     solver = repro.PortableALS(repro.NVIDIA_TESLA_K20C)
@@ -21,9 +21,12 @@ Quickstart::
 
 from repro.api import Recommender
 from repro.core import (
+    TrainConfig,
+    FactorModel,
+    IterationStats,
+    train,
     ALSConfig,
     ALSModel,
-    IterationStats,
     train_als,
     train_als_wr,
     ImplicitConfig,
@@ -92,6 +95,9 @@ __version__ = "1.0.0"
 
 __all__ = [
     # core
+    "TrainConfig",
+    "FactorModel",
+    "train",
     "ALSConfig",
     "ALSModel",
     "IterationStats",

@@ -15,9 +15,14 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.format import open_memmap
 
-from repro.core.als import ALSConfig, ALSModel, IterationStats, ratings_views, train_als
-from repro.core.alswr import train_als_wr
-from repro.core.implicit import ImplicitConfig, ImplicitModel, train_implicit_als
+from repro.core.als import (
+    FactorModel,
+    IterationStats,
+    TrainConfig,
+    policy_for,
+    ratings_views,
+    train,
+)
 from repro.core.loss import mae, rmse
 from repro.core.predict import predict_entries, recommend_top_n
 from repro.obs.spans import span
@@ -33,8 +38,6 @@ __all__ = ["Recommender"]
 #: transient footprint of ``save`` to one chunk instead of a full second
 #: copy of the factors (the ``.npz`` writer's compression buffer).
 _SAVE_CHUNK_ROWS = 1 << 16
-
-_ALGORITHMS = {"als": train_als, "als-wr": train_als_wr, "implicit": train_implicit_als}
 
 
 def _append_rows(base: CSRMatrix, new: CSRMatrix) -> CSRMatrix:
@@ -53,6 +56,21 @@ def _append_rows(base: CSRMatrix, new: CSRMatrix) -> CSRMatrix:
         np.concatenate([base.col_idx, new.col_idx]),
         np.concatenate([base.row_ptr, base.nnz + new.row_ptr[1:]]),
     )
+
+
+def _load_history(meta: dict) -> list[IterationStats]:
+    """The checkpoint's history as :class:`IterationStats`.
+
+    Older implicit checkpoints stored the weighted loss as plain floats,
+    with the structured entries (when present) under ``stats``.
+    """
+    history = meta.get("history", [])
+    if history and not isinstance(history[0], dict):
+        history = meta.get("stats") or [
+            {"iteration": i, "loss": float(loss), "train_rmse": None}
+            for i, loss in enumerate(history, start=1)
+        ]
+    return [IterationStats(**stats) for stats in history]
 
 
 class Recommender:
@@ -76,25 +94,17 @@ class Recommender:
         block_size: int | str | None = None,
         block_schedule: str | None = None,
     ) -> None:
-        if algorithm not in _ALGORITHMS:
-            known = ", ".join(sorted(_ALGORITHMS))
-            raise ValueError(f"unknown algorithm {algorithm!r}; known: {known}")
+        policy_for(algorithm)  # raises on unknown names
         knobs: dict = {}
         if block_size is not None:
             knobs["block_size"] = block_size
         if block_schedule is not None:
             knobs["block_schedule"] = block_schedule
-        if algorithm == "implicit":
-            self.config: ALSConfig | ImplicitConfig = ImplicitConfig(
-                k=k, lam=lam, iterations=iterations, seed=seed, alpha=alpha,
-                **knobs,
-            )
-        else:
-            self.config = ALSConfig(
-                k=k, lam=lam, iterations=iterations, seed=seed, **knobs
-            )
+        self.config = TrainConfig(
+            k=k, lam=lam, iterations=iterations, seed=seed, alpha=alpha, **knobs
+        )
         self.algorithm = algorithm
-        self._model: ALSModel | ImplicitModel | None = None
+        self._model: FactorModel | None = None
         self._train_csr: CSRMatrix | ShardedCSR | None = None
         self._engine: TopNEngine | None = None
 
@@ -112,12 +122,12 @@ class Recommender:
         """
         with span("recommender.fit", algorithm=self.algorithm, k=self.config.k):
             if isinstance(ratings, ShardStore):
-                self._model = _ALGORITHMS[self.algorithm](ratings, self.config)
-                self._train_csr = ratings.rows
+                source, seen = ratings, ratings.rows
             else:
-                _, csr = ratings_views(ratings)
-                self._model = _ALGORITHMS[self.algorithm](csr, self.config)
-                self._train_csr = csr
+                _, source = ratings_views(ratings)
+                seen = source
+            self._model = train(source, self.config, self.algorithm)
+            self._train_csr = seen
             self._engine = None  # factors changed; rebuild lazily
         return self
 
@@ -126,7 +136,7 @@ class Recommender:
         return self._model is not None
 
     @property
-    def model(self) -> ALSModel | ImplicitModel:
+    def model(self) -> FactorModel:
         if self._model is None:
             raise RuntimeError("call fit() first")
         return self._model
@@ -349,27 +359,17 @@ class Recommender:
         the legacy single-file compressed envelope instead, which
         materializes a second copy of the factors while compressing.
 
-        Explicit (:class:`ALSModel`) and implicit
-        (:class:`~repro.core.implicit.ImplicitModel`) models share the
-        same envelope: ``X``/``Y`` factor arrays plus JSON metadata
-        whose ``algorithm`` field selects the reconstruction path.
-        Implicit history is the per-iteration weighted loss (floats);
-        explicit history is the per-iteration :class:`IterationStats`.
+        Every algorithm shares the same envelope: ``X``/``Y`` factor
+        arrays plus JSON metadata holding the ``algorithm``, the
+        :class:`TrainConfig` and the per-iteration
+        :class:`IterationStats` history.
         """
         model = self.model
-        if isinstance(model, ImplicitModel):
-            history: list = list(model.history)  # weighted loss floats
-        else:
-            history = [asdict(stats) for stats in model.history]
         meta = {
             "algorithm": self.algorithm,
             "config": asdict(self.config),
-            "history": history,
+            "history": [asdict(stats) for stats in model.history],
         }
-        if isinstance(model, ImplicitModel) and model.stats:
-            # Structured per-iteration tracking (loss + elapsed seconds)
-            # rides alongside the historical float history.
-            meta["stats"] = [asdict(stats) for stats in model.stats]
         if str(path).endswith(".npz"):
             np.savez_compressed(
                 path,
@@ -447,11 +447,10 @@ class Recommender:
                 X = data["X"]
                 Y = data["Y"]
         algorithm = meta.get("algorithm")
-        if algorithm not in _ALGORITHMS:
-            known = ", ".join(sorted(_ALGORITHMS))
-            raise ValueError(
-                f"{path}: unknown algorithm {algorithm!r}; known: {known}"
-            )
+        try:
+            policy_for(algorithm)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         cfg = meta.get("config")
         if not isinstance(cfg, dict) or "k" not in cfg:
             raise ValueError(f"{path}: meta block lacks a config with 'k'")
@@ -461,31 +460,13 @@ class Recommender:
                 f"{path}: factor shapes {X.shape}/{Y.shape} do not match "
                 f"the stored config (k={k})"
             )
-        history = meta.get("history", [])
-        if algorithm == "implicit":
-            config = ImplicitConfig(**cfg)
-            rec = cls(
-                k=config.k, lam=config.lam, iterations=config.iterations,
-                algorithm=algorithm, seed=config.seed, alpha=config.alpha,
-            )
-            rec.config = config  # keep persisted knobs (assembly, workers, …)
-            rec._model = ImplicitModel(
-                X=X, Y=Y, config=config, history=[float(h) for h in history],
-                stats=[
-                    IterationStats(**stats) for stats in meta.get("stats", [])
-                ],
-            )
-        else:
-            config = ALSConfig(**cfg)
-            rec = cls(
-                k=config.k, lam=config.lam, iterations=config.iterations,
-                algorithm=algorithm, seed=config.seed,
-            )
-            rec.config = config
-            # Files written before history persistence lack the key; they
-            # load with an empty history, as before.
-            rec._model = ALSModel(
-                X=X, Y=Y, config=config,
-                history=[IterationStats(**stats) for stats in history],
-            )
+        # Older files: explicit configs lack `alpha`, implicit ones lack
+        # `cholesky` (both take the defaults).  Files written before
+        # history persistence lack the key and load with an empty history.
+        config = TrainConfig(**cfg)
+        rec = cls(algorithm=algorithm)
+        rec.config = config  # keep persisted knobs (assembly, workers, …)
+        rec._model = FactorModel(
+            X=X, Y=Y, config=config, history=_load_history(meta)
+        )
         return rec

@@ -100,7 +100,7 @@ def measure_blocks(
     width reached it and the comparison is purely about wall-seconds.
     """
     # Imported here: core.subspace resolves "auto" through this module.
-    from repro.core.als import ALSConfig, train_als
+    from repro.core.als import TrainConfig, train
     from repro.datasets.catalog import DatasetSpec
     from repro.datasets.synthetic import generate_ratings
 
@@ -125,12 +125,12 @@ def measure_blocks(
     dtype = "float64" if compute_dtype is None else str(compute_dtype)
     histories: dict[int, list] = {}
     for d in cands:
-        config = ALSConfig(
+        config = TrainConfig(
             k=k, lam=lam, iterations=iterations, seed=seed,
             assembly_dtype=None if compute_dtype is None else str(compute_dtype),
             block_size=None if d == k else d,
         )
-        histories[d] = train_als(ratings, config).history
+        histories[d] = train(ratings, config).history
     target = max(h[-1].loss for h in histories.values())
     seconds = {d: _time_to_target(h, target) for d, h in histories.items()}
     winner = min(seconds, key=lambda d: (seconds[d], d))

@@ -483,7 +483,7 @@ class QualityResult:
 
 
 def run_quality(iterations: int = 12, seed: int = 7) -> QualityResult:
-    from repro.core.als import ALSConfig, train_als
+    from repro.core.als import TrainConfig, train
     from repro.datasets.planted import planted_problem
     from repro.datasets.splits import train_test_split
     from repro.kernels.variants import recommended_variant
@@ -497,9 +497,9 @@ def run_quality(iterations: int = 12, seed: int = 7) -> QualityResult:
         m=1500, n=1000, rank=8, density=0.1, noise_std=0.1, seed=seed
     )
     split = train_test_split(problem.ratings, test_fraction=0.2, seed=seed)
-    model = train_als(
+    model = train(
         split.train,
-        ALSConfig(k=8, lam=0.05, iterations=iterations),
+        TrainConfig(k=8, lam=0.05, iterations=iterations),
         validation=split.test,
     )
     curve = tuple(s.validation_rmse for s in model.history)

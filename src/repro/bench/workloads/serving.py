@@ -170,12 +170,12 @@ def _check_foldin(ratings, ns) -> tuple[dict, bool]:
             ratings, k=ns.check_k, iterations=2, seed=ns.seed,
             algorithm=algorithm,
         )
-        armed = dict(api_mod._ALGORITHMS)
+        armed = api_mod.train
 
         def _tripwire(*a, **kw):
             raise AssertionError("fold-in must not retrain")
 
-        api_mod._ALGORITHMS = {name: _tripwire for name in armed}
+        api_mod.train = _tripwire
         try:
             ids = rec.fold_in_users(new_users)
         except AssertionError:
@@ -183,7 +183,7 @@ def _check_foldin(ratings, ns) -> tuple[dict, bool]:
             parity[algorithm] = False
             continue
         finally:
-            api_mod._ALGORITHMS = armed
+            api_mod.train = armed
         aug = rec._train_csr
         Y = np.asarray(rec.model.Y)
         if algorithm == "als":

@@ -85,6 +85,7 @@ import sys
 from repro.autotune.search import exhaustive_search
 from repro.bench.experiments import EXPERIMENTS, run_with_metrics
 from repro.clsim.device import device_by_name
+from repro.core.als import POLICIES
 from repro.datasets.catalog import dataset_by_name
 from repro.datasets.synthetic import degree_sequences
 from repro.kernels.opencl_source import generate_program
@@ -347,10 +348,10 @@ def _run_train(ns: argparse.Namespace) -> int:
     history = rec.model.history
     if history:
         last = history[-1]
-        if hasattr(last, "train_rmse"):
+        if last.train_rmse is not None:
             print(f"final train RMSE: {last.train_rmse:.4f}")
-        else:
-            print(f"final weighted loss: {last:.4f}")
+        else:  # implicit: history tracks the confidence-weighted loss
+            print(f"final weighted loss: {last.loss:.4f}")
     if ns.save:
         rec.save(ns.save)
         print(f"model saved to {ns.save}")
@@ -732,7 +733,7 @@ def main(argv: list[str] | None = None) -> int:
         "--iterations", type=int, default=5, help="profile: ALS iterations (default 5)"
     )
     parser.add_argument(
-        "--algorithm", default="als", choices=("als", "als-wr", "implicit"),
+        "--algorithm", default="als", choices=tuple(POLICIES),
         help="profile/recommend: trainer (default als; 'implicit' = "
         "confidence-weighted implicit feedback)",
     )

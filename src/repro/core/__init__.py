@@ -4,10 +4,21 @@ Implements Algorithm 1 of the paper (explicit-feedback ALS with the
 regularized squared loss of Eq. 2), plus the two classic extensions the
 surrounding literature uses: ALS-WR's weighted-λ regularization (Zhou et
 al. [3]) and implicit-feedback ALS (the "can incorporate implicit
-ratings" property the paper's introduction credits ALS with).
+ratings" property the paper's introduction credits ALS with).  All three
+run one loop, :func:`train`, under the per-algorithm :data:`POLICIES`.
 """
 
-from repro.core.als import ALSConfig, ALSModel, IterationStats, train_als
+from repro.core.als import (
+    POLICIES,
+    ALSConfig,
+    ALSModel,
+    FactorModel,
+    IterationStats,
+    Policy,
+    TrainConfig,
+    train,
+    train_als,
+)
 from repro.core.init import init_factors
 from repro.core.loss import regularized_loss, rmse, mae
 from repro.core.predict import (
@@ -35,6 +46,11 @@ from repro.core.subspace import (
 from repro.core.tuning import GridPoint, GridSearchResult, grid_search
 
 __all__ = [
+    "POLICIES",
+    "Policy",
+    "TrainConfig",
+    "FactorModel",
+    "train",
     "BLOCK_SCHEDULES",
     "make_blocks",
     "pass_cost",

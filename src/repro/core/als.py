@@ -1,9 +1,26 @@
-"""The ALS driver (Algorithm 1).
+"""The training loop (Algorithm 1) and its per-algorithm policies.
 
 Alternates exact least-squares updates of X (rows, CSR sweep) and Y
 (columns, CSC sweep) until the iteration budget is reached — the same
 fixed-iteration regime the paper benchmarks (5 iterations, k = 10,
 λ = 0.1 unless stated, §IV-B).
+
+ALS, ALS-WR (Zhou et al. [3]) and implicit-feedback ALS (Hu, Koren &
+Volinsky) run this one loop.  They differ only in the per-row system
+each half-sweep solves and in the loss the history records, which
+:data:`POLICIES` states per algorithm:
+
+============  =============  ==========  ===============  ========================
+algorithm     weights        ridge       base Gram        recorded loss
+============  =============  ==========  ===============  ========================
+``als``       1              λ           none             Σerr² + λ(‖X‖² + ‖Y‖²)
+``als-wr``    1              λ·|Ω_u|     none             Σerr²
+``implicit``  1 + α·r        λ           fresh ``FᵀF``    confidence-weighted loss
+============  =============  ==========  ===============  ========================
+
+The explicit losses come from the item sweep's normal equations
+(:class:`~repro.core.loss.SolvedLoss`); the implicit one is gathered
+(:func:`~repro.core.loss.weighted_loss`).
 """
 
 from __future__ import annotations
@@ -21,6 +38,7 @@ from repro.core.loss import (
     rmse,
     rmse_from_sq,
     squared_error,
+    weighted_loss,
 )
 from repro.core.subspace import (
     BLOCK_SCHEDULES,
@@ -40,8 +58,14 @@ from repro.sparse.csr import CSRMatrix
 from repro.sparse.shards import ShardStore, ShardedCSR
 
 __all__ = [
-    "ALSConfig",
+    "TrainConfig",
     "IterationStats",
+    "FactorModel",
+    "Policy",
+    "POLICIES",
+    "policy_for",
+    "train",
+    "ALSConfig",
     "ALSModel",
     "train_als",
     "ratings_views",
@@ -52,8 +76,8 @@ FACTOR_MODES = ("ram", "memmap")
 
 
 @dataclass(frozen=True)
-class ALSConfig:
-    """Hyper-parameters of Algorithm 1.
+class TrainConfig:
+    """Hyper-parameters of Algorithm 1, shared by every algorithm.
 
     Algorithm 1 "iterates until it reaches the maximum specified cycles
     or error rate": ``iterations`` is the cycle budget and ``tol`` the
@@ -68,7 +92,8 @@ class ALSConfig:
     seed: int = 0
     cholesky: bool = True  # legacy S3 toggle (§V-C); `solver` wins when set
     init_scale: float = 0.1
-    track_loss: bool = True  # compute Eq. 2 after every iteration
+    track_loss: bool = True  # record the loss after every iteration
+    alpha: float = 40.0  # implicit confidence slope: c = 1 + α·r
     # S1/S2 assembly code variant (§III-D analogue); None defers to the
     # configured/environment defaults of repro.linalg.normal_equations.
     assembly: str | None = None  # "binned" | "scatter" | "auto"
@@ -99,30 +124,24 @@ class ALSConfig:
             raise ValueError("k must be positive")
         if self.lam <= 0:
             raise ValueError("lam must be positive (λI keeps smat SPD)")
+        if self.alpha <= 0:
+            raise ValueError("alpha must be positive")
         if self.iterations <= 0:
             raise ValueError("iterations must be positive")
         if self.tol < 0:
             raise ValueError("tol must be non-negative")
         if self.tol > 0 and not self.track_loss:
             raise ValueError("tol-based stopping requires track_loss")
-        if self.assembly is not None and self.assembly not in ASSEMBLY_MODES:
-            raise ValueError(
-                f"assembly must be one of {ASSEMBLY_MODES}, got {self.assembly!r}"
-            )
         if self.tile_nnz is not None and self.tile_nnz < 1:
             raise ValueError("tile_nnz must be >= 1")
-        if self.assembly_dtype is not None and self.assembly_dtype not in (
-            "float32",
-            "float64",
+        for name, allowed in (
+            ("assembly", ASSEMBLY_MODES),
+            ("assembly_dtype", ("float32", "float64")),
+            ("solver", SOLVER_MODES),
         ):
-            raise ValueError(
-                f"assembly_dtype must be 'float32' or 'float64', "
-                f"got {self.assembly_dtype!r}"
-            )
-        if self.solver is not None and self.solver not in SOLVER_MODES:
-            raise ValueError(
-                f"solver must be one of {SOLVER_MODES}, got {self.solver!r}"
-            )
+            value = getattr(self, name)
+            if value is not None and value not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
         if self.workers is not None:
             _parse_workers(self.workers)  # raises on bad specs
         if self.factors not in FACTOR_MODES:
@@ -139,12 +158,15 @@ class ALSConfig:
 
 @dataclass(frozen=True)
 class IterationStats:
-    """Objective tracking for one ALS iteration.
+    """Objective tracking for one training iteration.
 
-    ``elapsed_seconds`` is the cumulative monotonic training time up to
-    and including this iteration's sweeps — loss/validation evaluation
-    is excluded, so the history doubles as a loss-vs-wall-seconds curve
-    (checkpoints written before this field existed load as 0.0).
+    ``loss`` is the algorithm's recorded loss (see :data:`POLICIES`);
+    ``train_rmse`` is ``None`` for implicit feedback, whose targets are
+    preferences rather than ratings.  ``elapsed_seconds`` is the
+    cumulative monotonic training time up to and including this
+    iteration's sweeps — loss/validation evaluation is excluded, so the
+    history doubles as a loss-vs-wall-seconds curve (checkpoints written
+    before this field existed load as 0.0).
     """
 
     iteration: int
@@ -155,12 +177,12 @@ class IterationStats:
 
 
 @dataclass
-class ALSModel:
+class FactorModel:
     """Trained factors plus the per-iteration history."""
 
     X: np.ndarray  # (m, k) user factors
     Y: np.ndarray  # (n, k) item factors
-    config: ALSConfig
+    config: TrainConfig
     history: list[IterationStats] = field(default_factory=list)
 
     @property
@@ -174,11 +196,82 @@ class ALSModel:
     def losses(self) -> list[float]:
         return [s.loss for s in self.history]
 
+    def score(self, user: int) -> np.ndarray:
+        """Scores of one user over all items."""
+        return self.Y @ self.X[user]
+
+
+@dataclass(frozen=True)
+class Policy:
+    """What one algorithm changes in the shared loop.
+
+    ``weighted`` scales the ridge to ``λ·|Ω_u|`` (ALS-WR).  ``implicit``
+    gives every rating the confidence weight ``1 + α·r`` on top of a
+    fresh ``FᵀF`` base Gram, resolves empty rows to zero, records the
+    gathered confidence-weighted loss without a ``train_rmse``, and
+    rejects negative input.  Explicit updates keep empty rows through
+    ``X_prev`` and record the normal-equation squared error, plus the
+    λ penalty when ``penalty`` is set.
+    """
+
+    weighted: bool = False
+    implicit: bool = False
+    penalty: bool = True
+
+    def side_kw(self, config: TrainConfig, F_fixed, F_upd) -> dict:
+        """Executor arguments of one full-width half-sweep updating
+        ``F_upd`` against the fixed factors ``F_fixed``."""
+        if self.implicit:
+            # A fresh shared Gram (the Hu-Koren trick); empty rows → 0.
+            return dict(
+                implicit_alpha=float(config.alpha), base_gram=F_fixed.T @ F_fixed
+            )
+        return dict(X_prev=F_upd)  # empty rows keep their value
+
+    def loss(
+        self,
+        config: TrainConfig,
+        solved: SolvedLoss | None,
+        loss_view,
+        X: np.ndarray,
+        Y: np.ndarray,
+        nnz: int,
+    ) -> tuple[float, float | None]:
+        """``(loss, train_rmse)`` recorded after one iteration."""
+        if self.implicit:
+            return weighted_loss(loss_view, X, Y, config.lam, config.alpha), None
+        if solved is not None:
+            sq = solved.sq_error(Y)
+        else:
+            sq = squared_error(loss_view, X, Y)
+        loss = sq + penalty(X, Y, config.lam) if self.penalty else sq
+        return loss, rmse_from_sq(sq, nnz)
+
+
+POLICIES = {
+    "als": Policy(),
+    "als-wr": Policy(weighted=True, penalty=False),
+    "implicit": Policy(implicit=True),
+}
+
+
+def policy_for(algorithm: str) -> Policy:
+    """The policy of ``algorithm``; :class:`ValueError` names the known ones."""
+    if algorithm not in POLICIES:
+        known = ", ".join(sorted(POLICIES))
+        raise ValueError(f"unknown algorithm {algorithm!r}; known: {known}")
+    return POLICIES[algorithm]
+
+
+# Compatibility names: every algorithm shares the one config and model.
+ALSConfig = TrainConfig
+ALSModel = FactorModel
+
 
 def ratings_views(ratings: COOMatrix | CSRMatrix) -> tuple[COOMatrix, CSRMatrix]:
     """Canonical ``(deduplicated COO, CSR)`` views of a rating input.
 
-    The single conversion point every trainer (and the ``Recommender``
+    The single conversion point the trainer (and the ``Recommender``
     facade) shares: COO inputs are deduplicated and converted exactly
     once; a prebuilt CSR passes through untouched.
     """
@@ -207,7 +300,7 @@ def training_views(
     return R_rows, None, coo
 
 
-def resolve_factor_dir(config: "ALSConfig") -> str | None:
+def resolve_factor_dir(config: TrainConfig) -> str | None:
     """The memmap directory for factor spill (``None`` for RAM factors)."""
     if config.factors != "memmap":
         return None
@@ -216,45 +309,55 @@ def resolve_factor_dir(config: "ALSConfig") -> str | None:
 
 def solved_loss(
     R_cols: CSRMatrix | ShardedCSR,
-    config: "ALSConfig",
+    config: TrainConfig,
     blocks: tuple[tuple[int, int], ...] | None,
-    weighted: bool,
+    policy: Policy,
 ) -> SolvedLoss | None:
     """The fit's normal-equation loss tracker, or ``None`` when the loss
-    is not tracked or the item update is not one exact full-width solve
-    (strict subspace blocks fall back to the gathered loss)."""
-    if not config.track_loss or (blocks is not None and len(blocks) > 1):
+    is not tracked, is gathered (implicit), or the item update is not one
+    exact full-width solve (strict subspace blocks gather instead)."""
+    if policy.implicit or not config.track_loss:
+        return None
+    if blocks is not None and len(blocks) > 1:
         return None
     with span("als.loss.setup"):
-        return SolvedLoss(R_cols, config.lam, weighted=weighted)
+        return SolvedLoss(R_cols, config.lam, weighted=policy.weighted)
 
 
-def train_als(
+def train(
     ratings: COOMatrix | CSRMatrix | ShardStore,
-    config: ALSConfig | None = None,
+    config: TrainConfig | None = None,
+    algorithm: str = "als",
     validation: COOMatrix | None = None,
-) -> ALSModel:
-    """Factorize ``ratings ≈ X Yᵀ`` with alternating least squares.
+) -> FactorModel:
+    """Factorize ``ratings ≈ X Yᵀ`` with the policy of ``algorithm``.
 
     Accepts COO (converted once), a prebuilt CSR matrix, or an on-disk
     :class:`ShardStore` — the out-of-core path, where each half-sweep
     streams byte-budgeted row-range shards of its natural orientation
     and the loss is accumulated the same way.  Each iteration performs
     the two half-sweeps of Algorithm 1: rows over the CSR view, columns
-    over the CSC view (as the paper stores them, §III-A).  When a
+    over the CSC view (as the paper stores them, §III-A), through one
+    shared :class:`SweepExecutor`; with ``block_size`` set they become
+    the iALS++ block schedule of :func:`subspace_iteration`.  When a
     ``validation`` set is given its RMSE is tracked per iteration.
 
-    The tracked loss comes from the item half-sweep's normal equations
+    The explicit loss comes from the item half-sweep's normal equations
     (:class:`~repro.core.loss.SolvedLoss`) whenever that sweep solves
     every row exactly at full width; strict subspace blocks and the
     held-out RMSE gather the ratings instead.
     """
-    config = config or ALSConfig()
+    policy = policy_for(algorithm)
+    config = config or TrainConfig()
     R_rows, R_cols, loss_view = training_views(ratings)
     sharded = R_cols is not None
+    if policy.implicit and R_rows.nnz:
+        low = R_rows.min_value() if sharded else loss_view.value.min()
+        if low < 0:
+            raise ValueError("implicit feedback must be non-negative")
     with span(
         "als.train",
-        algorithm="als",
+        algorithm=algorithm,
         k=config.k,
         iterations=config.iterations,
         nnz=R_rows.nnz,
@@ -269,12 +372,13 @@ def train_als(
                 memmap_dir=resolve_factor_dir(config),
             )
 
-        model = ALSModel(X=X, Y=Y, config=config)
+        model = FactorModel(X=X, Y=Y, config=config)
         inplace = config.factors == "memmap"
+        alpha = float(config.alpha) if policy.implicit else None
         sweep_kw = dict(
-            solver=config.solver, cholesky=config.cholesky,
-            assembly=config.assembly, tile_nnz=config.tile_nnz,
-            compute_dtype=config.assembly_dtype,
+            weighted=policy.weighted, solver=config.solver,
+            cholesky=config.cholesky, assembly=config.assembly,
+            tile_nnz=config.tile_nnz, compute_dtype=config.assembly_dtype,
         )
         block_d = resolve_block_size(
             config.block_size, config.k,
@@ -282,52 +386,50 @@ def train_als(
             compute_dtype=config.assembly_dtype,
         )
         blocks = None if block_d is None else make_blocks(config.k, block_d)
-        solved = solved_loss(R_cols, config, blocks, weighted=False)
+        solved = solved_loss(R_cols, config, blocks, policy)
         xb = None if solved is None else solved.xb
+        grams: dict = {}  # implicit iALS++ Gramians, persistent across iterations
+
         elapsed = 0.0
         with SweepExecutor(config.workers) as executor:
+            def half_sweep(side, R, F_fixed, F_upd, it, xb_out=None):
+                t_hs = perf_counter()
+                with span("als.half_sweep", side=side, iteration=it):
+                    F = executor.half_sweep(
+                        R, F_fixed, config.lam, out=F_upd if inplace else None,
+                        xb_out=xb_out, **policy.side_kw(config, F_fixed, F_upd),
+                        **sweep_kw,
+                    )
+                obs_metrics.observe_latency(
+                    "als.half_sweep.seconds", perf_counter() - t_hs
+                )
+                return F
+
             for it in range(1, config.iterations + 1):
                 with span("als.iteration", iteration=it):
                     obs_metrics.inc("als.iterations")
                     t_iter = perf_counter()
                     if blocks is None:
-                        t_hs = perf_counter()
-                        with span("als.half_sweep", side="X", iteration=it):
-                            X = executor.half_sweep(
-                                R_rows, Y, config.lam, X_prev=X,
-                                out=X if inplace else None, **sweep_kw
-                            )
-                        obs_metrics.observe_latency(
-                            "als.half_sweep.seconds", perf_counter() - t_hs
-                        )
-                        t_hs = perf_counter()
-                        with span("als.half_sweep", side="Y", iteration=it):
-                            Y = executor.half_sweep(
-                                R_cols, X, config.lam, X_prev=Y,
-                                out=Y if inplace else None, xb_out=xb,
-                                **sweep_kw
-                            )
-                        obs_metrics.observe_latency(
-                            "als.half_sweep.seconds", perf_counter() - t_hs
-                        )
+                        X = half_sweep("X", R_rows, Y, X, it)
+                        Y = half_sweep("Y", R_cols, X, Y, it, xb_out=xb)
                     else:
                         X, Y = subspace_iteration(
                             executor, R_rows, R_cols, X, Y, config.lam,
                             blocks, config.block_schedule, sweep_kw,
+                            implicit_alpha=alpha, grams=grams,
                             inplace=inplace, iteration=it, xb_out=xb,
                         )
                     elapsed += perf_counter() - t_iter
                     if config.track_loss:
                         with span("als.loss", iteration=it):
-                            if solved is not None:
-                                sq = solved.sq_error(Y)
-                            else:
-                                sq = squared_error(loss_view, X, Y)
+                            loss, train_rmse = policy.loss(
+                                config, solved, loss_view, X, Y, R_rows.nnz
+                            )
                             model.history.append(
                                 IterationStats(
                                     iteration=it,
-                                    loss=sq + penalty(X, Y, config.lam),
-                                    train_rmse=rmse_from_sq(sq, R_rows.nnz),
+                                    loss=loss,
+                                    train_rmse=train_rmse,
                                     validation_rmse=(
                                         rmse(validation, X, Y)
                                         if validation is not None
@@ -343,3 +445,12 @@ def train_als(
                         break
         model.X, model.Y = X, Y
     return model
+
+
+def train_als(
+    ratings: COOMatrix | CSRMatrix | ShardStore,
+    config: TrainConfig | None = None,
+    validation: COOMatrix | None = None,
+) -> FactorModel:
+    """Plain ALS: :func:`train` with ``algorithm="als"``."""
+    return train(ratings, config, "als", validation)

@@ -8,8 +8,8 @@ Note the regularizer sums over *all* factor rows once (the standard ALS
 objective); each half-sweep is an exact minimizer of L in its own block,
 which gives the monotone-descent property the tests assert.
 
-The trainers do not re-gather the ratings to evaluate L after every
-iteration.  A half-sweep that solves row ``u`` exactly from
+The training loop does not re-gather the ratings to evaluate L after
+every iteration.  A half-sweep that solves row ``u`` exactly from
 ``(Y_ΩᵀY_Ω + ρ_u I) x_u = b_u = Y_Ωᵀ r_u`` already holds everything its
 squared error needs:
 
@@ -37,6 +37,7 @@ __all__ = [
     "squared_error",
     "penalty",
     "rmse_from_sq",
+    "weighted_loss",
     "SolvedLoss",
 ]
 
@@ -55,7 +56,7 @@ def _err_reductions(
     """``(Σ err², Σ |err|)`` over observed entries, for either view.
 
     A :class:`ShardedCSR` streams one resident row-range shard at a
-    time (no prefetch: the trainers call this only for updates the
+    time (no prefetch: the training loop calls this only for updates the
     normal-equation identity does not cover), accumulating partial sums;
     each partial matches the in-RAM reduction to float64 rounding.
     """
@@ -95,6 +96,43 @@ def regularized_loss(
 ) -> float:
     """Eq. 2: squared error over observed entries plus the λ penalty."""
     return squared_error(ratings, X, Y) + penalty(X, Y, lam)
+
+
+def weighted_loss(
+    ratings: COOMatrix | ShardedCSR,
+    X: np.ndarray,
+    Y: np.ndarray,
+    lam: float,
+    alpha: float,
+) -> float:
+    """Implicit feedback's confidence-weighted objective over observed
+    entries, ``Σ (1 + α·r)(1 − x·y)²``, plus the λ penalty.
+
+    The full implicit objective also sums over *unobserved* cells; this
+    tracker omits that constant-heavy term (standard practice for
+    monitoring convergence direction cheaply).  A :class:`ShardedCSR`
+    streams resident shards and accumulates partial sums (matching the
+    in-RAM value to float64 rounding).
+
+    Unlike the explicit losses, this one is gathered every iteration:
+    the normal equations give row ``u``'s term as
+    ``Σc − x·b − xᵀ(YᵀY)x − λ‖x‖² + Σ_{i∈Ω_u} (x·y_i)²``, and that last
+    sum over the observed predictions is itself an nnz·k gather.
+    """
+    if isinstance(ratings, ShardedCSR):
+        fit = 0.0
+        for sp, mat in ratings.iter_resident(prefetch=False):
+            rows = sp.row_start + mat.expanded_rows()
+            pred = np.einsum("ij,ij->i", X[rows], Y[mat.col_idx])
+            conf = 1.0 + alpha * mat.value.astype(np.float64)
+            err = 1.0 - pred
+            fit += float(conf @ (err * err))
+    else:
+        pred = np.einsum("ij,ij->i", X[ratings.row], Y[ratings.col])
+        conf = 1.0 + alpha * ratings.value.astype(np.float64)
+        err = 1.0 - pred
+        fit = float(conf @ (err * err))
+    return fit + penalty(X, Y, lam)
 
 
 def rmse_from_sq(sq: float, nnz: int) -> float:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.als import ALSModel
+from repro.core.als import FactorModel
 from repro.serving.engine import TopNEngine
 from repro.sparse.csr import CSRMatrix
 
@@ -53,7 +53,7 @@ def _validate_indices(idx: np.ndarray, size: int, kind: str) -> None:
         raise IndexError(f"{kind} index {bad} out of range for {size} {kind}s{hint}")
 
 
-def predict_rating(model: ALSModel, user: int, item: int) -> float:
+def predict_rating(model: FactorModel, user: int, item: int) -> float:
     """``r_ui = x_u · y_i`` (Eq. 1)."""
     m, n = model.shape
     if not 0 <= user < m:
@@ -64,12 +64,12 @@ def predict_rating(model: ALSModel, user: int, item: int) -> float:
 
 
 def predict_entries(
-    model: ALSModel, users: np.ndarray, items: np.ndarray
+    model: FactorModel, users: np.ndarray, items: np.ndarray
 ) -> np.ndarray:
     """Vectorized predictions for parallel (user, item) arrays.
 
-    Works on any model exposing ``(X, Y)`` factors (explicit
-    :class:`ALSModel` or :class:`~repro.core.implicit.ImplicitModel`).
+    Works on any model exposing ``(X, Y)`` factors (a
+    :class:`FactorModel` of any algorithm).
     Out-of-range indices — including the negative ones numpy would
     silently wrap — raise :class:`IndexError`.
     """
@@ -83,7 +83,7 @@ def predict_entries(
 
 
 def recommend_top_n(
-    model: ALSModel,
+    model: FactorModel,
     user: int,
     n_items: int = 10,
     exclude: CSRMatrix | None = None,
@@ -108,7 +108,7 @@ def recommend_top_n(
 
 
 def recommend_top_n_batch(
-    model: ALSModel,
+    model: FactorModel,
     users: np.ndarray,
     n_items: int = 10,
     exclude: CSRMatrix | None = None,

@@ -8,7 +8,7 @@ set, with the training items excluded from each user's candidate ranking.
 Evaluation runs on the tiled serving engine: all evaluated users are
 ranked in batched, byte-budgeted item tiles with vectorized exclusion
 (:mod:`repro.serving.engine`) instead of the historical one-user-at-a-
-time loop over Python sets.  Pass the trained :class:`ALSModel` directly
+time loop over Python sets.  Pass the trained :class:`FactorModel` directly
 for the fast factor-scoring path; a legacy ``score_matrix_fn(user)``
 callable is still accepted and routed through the same selection
 machinery.
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.als import ALSModel
-from repro.core.implicit import ImplicitModel
+from repro.core.als import FactorModel
 from repro.serving.engine import TopNEngine, topn_from_scores
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
@@ -83,9 +82,8 @@ def evaluate_ranking(
 ) -> RankingMetrics:
     """Evaluate top-N quality of a scoring model.
 
-    ``scorer`` is either a trained factor model — :class:`ALSModel` or
-    :class:`~repro.core.implicit.ImplicitModel`, scored through the
-    tiled engine (the fast path) — or a legacy callable
+    ``scorer`` is either a trained :class:`FactorModel` (any
+    algorithm), scored through the tiled engine (the fast path) — or a legacy callable
     ``score_matrix_fn(user) -> np.ndarray`` returning the user's scores
     over all items (e.g. ``lambda u: model.Y @ model.X[u]``).  Training
     items are masked out of each ranking; every user with held-out items
@@ -99,7 +97,7 @@ def evaluate_ranking(
 
     n_catalog = train.shape[1]
     top_n = min(n, n_catalog)
-    if isinstance(scorer, (ALSModel, ImplicitModel)):
+    if isinstance(scorer, FactorModel):
         if engine is None:
             engine = TopNEngine.from_model(scorer)
         result = engine.query(users, n=top_n, exclude=train)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.als import ALSConfig, ALSModel, train_als
+from repro.core.als import FactorModel, TrainConfig, train
 from repro.core.loss import rmse
 from repro.datasets.splits import train_test_split
 from repro.sparse.coo import COOMatrix
@@ -36,13 +36,13 @@ class GridSearchResult:
 
     points: tuple[GridPoint, ...]
     best: GridPoint
-    model: ALSModel  # refit on all data with the best settings
+    model: FactorModel  # refit on all data with the best settings
 
     def ranking(self) -> list[GridPoint]:
         return sorted(self.points, key=lambda p: p.validation_rmse)
 
 
-def _last_train_rmse(model: ALSModel) -> float:
+def _last_train_rmse(model: FactorModel) -> float:
     if not model.history:
         raise RuntimeError(
             "grid_search needs the per-iteration history to report "
@@ -96,9 +96,9 @@ def grid_search(
     points: list[GridPoint] = []
     for k in ks:
         for lam in lams:
-            model = train_als(
+            model = train(
                 split.train,
-                ALSConfig(k=k, lam=lam, iterations=iterations, seed=seed, **knobs),
+                TrainConfig(k=k, lam=lam, iterations=iterations, seed=seed, **knobs),
             )
             points.append(
                 GridPoint(
@@ -109,8 +109,8 @@ def grid_search(
                 )
             )
     best = min(points, key=lambda p: p.validation_rmse)
-    final = train_als(
+    final = train(
         ratings,
-        ALSConfig(k=best.k, lam=best.lam, iterations=iterations, seed=seed, **knobs),
+        TrainConfig(k=best.k, lam=best.lam, iterations=iterations, seed=seed, **knobs),
     )
     return GridSearchResult(points=tuple(points), best=best, model=final)

@@ -51,7 +51,7 @@ __all__ = [
 
 _ENV_SOLVER = "REPRO_SOLVER"
 
-#: Names accepted by ``ALSConfig.solver`` / ``--solver`` / ``REPRO_SOLVER``.
+#: Names accepted by ``TrainConfig.solver`` / ``--solver`` / ``REPRO_SOLVER``.
 SOLVER_MODES = ("cholesky", "gaussian", "lapack", "auto")
 
 # Process-wide default installed by configure_solver (the CLI flag lands

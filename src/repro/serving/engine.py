@@ -290,7 +290,7 @@ class TopNEngine:
 
     @classmethod
     def from_model(cls, model, **kwargs) -> "TopNEngine":
-        """Engine over a trained :class:`~repro.core.als.ALSModel`."""
+        """Engine over a trained :class:`~repro.core.als.FactorModel`."""
         return cls(model.X, model.Y, **kwargs)
 
     @property

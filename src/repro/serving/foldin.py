@@ -19,7 +19,7 @@ batch) and the batched S3 solvers are per-system independent, the
 folded factors are **bitwise identical** to the corresponding rows of a
 fresh serial half-sweep over the augmented matrix — the invariant the
 parallel sweep executor already relies on, now carried to serving time.
-The three trainers map directly:
+The three training policies (:data:`repro.core.als.POLICIES`) map directly:
 
 * explicit ALS — uniform ridge ``λI``;
 * ALS-WR        — per-row ridge ``λ·|Ω|·I`` (``weighted=True``);

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.clsim.costmodel import StepCosts
-from repro.core.als import ALSConfig, ALSModel, train_als
+from repro.core.als import FactorModel, TrainConfig, train
 from repro.datasets.catalog import DatasetSpec
 from repro.datasets.synthetic import degree_sequences
 from repro.sparse.coo import COOMatrix
@@ -51,7 +51,7 @@ class SimulatedRun:
 class SolverReport:
     """Functional training result plus its simulated cost."""
 
-    model: ALSModel
+    model: FactorModel
     run: SimulatedRun
 
 
@@ -83,6 +83,8 @@ class BaseSolver(abc.ABC):
         rows, cols = degree_sequences(spec, seed=seed)
         return self.simulate(rows, cols, k=k, iterations=iterations, dataset=spec.abbr)
 
-    def fit(self, ratings: COOMatrix, config: ALSConfig | None = None) -> ALSModel:
+    def fit(
+        self, ratings: COOMatrix, config: TrainConfig | None = None
+    ) -> FactorModel:
         """Functional ALS training (identical math across solvers)."""
-        return train_als(ratings, config)
+        return train(ratings, config)

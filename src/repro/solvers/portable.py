@@ -16,7 +16,7 @@ from repro.clsim.costmodel import LaunchCost
 from repro.clsim.device import DeviceSpec
 from repro.clsim.runtime import CommandQueue, Context
 from repro.clsim.transfer import training_transfer_cost
-from repro.core.als import ALSConfig
+from repro.core.als import TrainConfig
 from repro.kernels.variants import Variant, recommended_variant
 from repro.solvers.base import BaseSolver, SimulatedRun, SolverReport
 from repro.sparse.coo import COOMatrix
@@ -102,12 +102,12 @@ class PortableALS(BaseSolver):
     def fit_report(
         self,
         ratings: COOMatrix,
-        config: ALSConfig | None = None,
+        config: TrainConfig | None = None,
         dataset: str = "?",
     ) -> SolverReport:
         """Train on materialized ratings and report the simulated cost of
         the same run on this solver's device."""
-        config = config or ALSConfig()
+        config = config or TrainConfig()
         model = self.fit(ratings, config)
         R = CSRMatrix.from_coo(ratings)
         cols = CSCMatrix.from_csr(R).col_lengths()

@@ -32,7 +32,7 @@ class TestImplicitAlgorithm:
         assert isinstance(fitted.model, ImplicitModel)
         assert isinstance(fitted.config, ImplicitConfig)
         assert fitted.config.alpha == 15.0
-        assert all(isinstance(h, float) for h in fitted.model.history)
+        assert all(isinstance(h, float) for h in fitted.model.losses())
 
     def test_predict_and_recommend_work(self, fitted, counts):
         scores = fitted.predict([0, 1], [2, 3])

@@ -71,8 +71,6 @@ def _gathered(algorithm, coo, X, Y):
 
 
 def _last(model):
-    if isinstance(model.history[-1], float):
-        return model.history[-1], None
     h = model.history[-1]
     return h.loss, h.train_rmse
 
@@ -144,8 +142,7 @@ class TestGatheredPathsRemain:
 
 
 class TestEarlyStopping:
-    # train_als_wr has never applied ``tol``; it runs every iteration.
-    @pytest.mark.parametrize("algorithm", ("als", "implicit"))
+    @pytest.mark.parametrize("algorithm", ("als", "als-wr", "implicit"))
     def test_tol_stops_at_the_gathered_iteration(self, algorithm, coo):
         tol, budget = 0.1, 10
         # The stopping rule applied to gathered losses of prefix runs is
@@ -162,6 +159,28 @@ class TestEarlyStopping:
         model = _train(algorithm, coo, iterations=budget, tol=tol)
         assert len(model.history) == expected
         assert _last(model)[0] == pytest.approx(losses[-1], rel=RTOL, abs=0)
+
+    def test_als_wr_applies_tol_and_tracks_validation(self, coo):
+        split = train_test_split(coo, test_fraction=0.2, seed=4)
+        tol, budget = 0.1, 10
+        full = _train("als-wr", split.train, iterations=budget).losses()
+        # ALS-WR records Σ err²; the first iteration improving it by less
+        # than ``tol`` (relative) is the last one run.
+        expected = next(
+            it for it in range(2, budget + 1)
+            if (full[it - 2] - full[it - 1]) / full[it - 2] < tol
+        )
+        assert expected < budget  # the fixture does stop early
+        model = train_als_wr(
+            split.train,
+            ALSConfig(k=K, lam=LAM, iterations=budget, seed=2, tol=tol),
+            validation=split.test,
+        )
+        assert model.losses() == full[:expected]
+        assert all(s.validation_rmse is not None for s in model.history)
+        assert model.history[-1].validation_rmse == rmse(
+            split.test, model.X, model.Y
+        )
 
 
 class TestSolvedLoss:

@@ -107,12 +107,7 @@ class TestFullWidthReduction:
     def test_dk_loss_history_equal(self, ratings, algorithm):
         base = _train(algorithm, ratings)
         blocked = _train(algorithm, ratings, block_size=K)
-        get = (
-            (lambda m: [s.loss for s in m.history])
-            if algorithm == "als"
-            else (lambda m: list(m.history))
-        )
-        assert get(base) == get(blocked)
+        assert base.losses() == blocked.losses()
 
 
 class TestSubspaceConvergence:
@@ -123,14 +118,8 @@ class TestSubspaceConvergence:
         sub = _train(
             algorithm, ratings, iterations=2 * iterations, block_size=K // 4
         )
-        losses = (
-            [s.loss for s in sub.history]
-            if algorithm != "implicit"
-            else list(sub.history)
-        )
-        target = (
-            base.history[-1].loss if algorithm != "implicit" else base.history[-1]
-        )
+        losses = sub.losses()
+        target = base.losses()[-1]
         bar = target + abs(target) * 1e-6
         reached = [i for i, loss in enumerate(losses) if loss <= bar]
         assert reached, f"subspace never reached full-k loss {target}"
@@ -209,10 +198,10 @@ class TestElapsedSeconds:
 
     def test_implicit_stats_monotone(self, ratings):
         model = _train("implicit", ratings, iterations=4)
-        assert isinstance(model.history[0], float)
-        elapsed = [s.elapsed_seconds for s in model.stats]
-        assert len(model.stats) == 4
-        assert all(s.train_rmse is None for s in model.stats)
+        assert isinstance(model.history[0], IterationStats)
+        elapsed = [s.elapsed_seconds for s in model.history]
+        assert len(model.history) == 4
+        assert all(s.train_rmse is None for s in model.history)
         assert all(e > 0 for e in elapsed)
         assert elapsed == sorted(elapsed)
 
@@ -229,12 +218,8 @@ class TestElapsedSeconds:
         ).fit(ratings)
         rec.save(tmp_path / "model")
         loaded = Recommender.load(tmp_path / "model")
-        if algorithm == "implicit":
-            saved = [s.elapsed_seconds for s in rec.model.stats]
-            back = [s.elapsed_seconds for s in loaded.model.stats]
-        else:
-            saved = [s.elapsed_seconds for s in rec.model.history]
-            back = [s.elapsed_seconds for s in loaded.model.history]
+        saved = [s.elapsed_seconds for s in rec.model.history]
+        back = [s.elapsed_seconds for s in loaded.model.history]
         assert back == saved
         assert saved == sorted(saved)
 
@@ -250,7 +235,6 @@ class TestImplicitLossControls:
     def test_track_loss_off_skips_history(self, ratings):
         model = _train("implicit", ratings, track_loss=False)
         assert model.history == []
-        assert model.stats == []
         assert np.all(np.isfinite(model.X))
 
     def test_tol_early_stops(self, ratings):

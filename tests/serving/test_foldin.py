@@ -159,9 +159,7 @@ def _disarm_trainers(monkeypatch):
     def tripwire(*args, **kwargs):
         raise AssertionError("fold-in must not retrain")
 
-    monkeypatch.setattr(
-        api_mod, "_ALGORITHMS", {name: tripwire for name in api_mod._ALGORITHMS}
-    )
+    monkeypatch.setattr(api_mod, "train", tripwire)
 
 
 class TestRecommenderFoldIn:
