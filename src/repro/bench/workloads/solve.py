@@ -2,12 +2,15 @@
 
 The benchmark body behind ``benchmarks/bench_solve.py``.
 ``BENCH_3.json`` records the committed numbers; the gate metric is
-``lapack_speedup``.
+``lapack_speedup``.  The record also carries the ``lapack`` solve's
+tracemalloc peak, which ``check_record`` bounds against the stack's
+bytes (the chunked solve's scratch must not grow with the batch).
 """
 
 from __future__ import annotations
 
 import os
+import tracemalloc
 from time import perf_counter
 
 import numpy as np
@@ -31,6 +34,16 @@ def _best_of(fn, repeats: int) -> float:
         fn()
         best = min(best, perf_counter() - t0)
     return best
+
+
+def _traced_peak_bytes(fn) -> int:
+    """Peak bytes of traced (Python and NumPy) allocations during ``fn()``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def run_benchmark(
@@ -63,6 +76,9 @@ def run_benchmark(
         print(f"  s3 {name:9s}: {solve_seconds[name]:8.3f} s", flush=True)
     lapack_speedup = solve_seconds["cholesky"] / solve_seconds["lapack"]
     print(f"  lapack speedup over reference: {lapack_speedup:8.2f}x", flush=True)
+    lapack_peak = _traced_peak_bytes(lambda: SOLVERS["lapack"](A, b))
+    print(f"  lapack scratch peak: {lapack_peak / 1e6:.1f} MB "
+          f"(stack {A.nbytes / 1e6:.1f} MB)", flush=True)
 
     X_serial = fast_half_sweep(R, Y, 0.1, solver="lapack")  # untimed warm-up
     serial_seconds = _best_of(
@@ -94,6 +110,8 @@ def run_benchmark(
         "cores": os.cpu_count(),
         "s3_seconds": solve_seconds,
         "lapack_speedup": lapack_speedup,
+        "stack_bytes": A.nbytes,
+        "lapack_peak_bytes": lapack_peak,
         "sweep": {
             "solver": "lapack",
             "serial_seconds": serial_seconds,
@@ -128,13 +146,20 @@ def run_cell(quick: bool = True, check: bool = True, **overrides) -> dict:
 
 
 def check_record(record: dict, params: dict) -> list[str]:
-    """The ``--check`` bars: lapack >= 3x at k >= 32, bitwise parallel
-    sweep, and (multi-core only) parallel faster than serial."""
+    """The ``--check`` bars: lapack >= 3x at k >= 32, lapack scratch below
+    a quarter of the stack, bitwise parallel sweep, and (multi-core only)
+    parallel faster than serial."""
     failures = []
     if record["k"] >= 32 and record["lapack_speedup"] < 3.0:
         failures.append(
             f"lapack speedup {record['lapack_speedup']:.2f}x is below the "
             f"required 3.0x at k={record['k']}"
+        )
+    if record["lapack_peak_bytes"] >= record["stack_bytes"] / 4:
+        failures.append(
+            f"lapack solve peaked at {record['lapack_peak_bytes'] / 1e6:.1f} MB "
+            f"of scratch, not below a quarter of the "
+            f"{record['stack_bytes'] / 1e6:.1f} MB stack"
         )
     if not record["sweep"]["bitwise_identical"]:
         failures.append("parallel sweep result differs from serial")

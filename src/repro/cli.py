@@ -759,7 +759,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--solver", default=None, choices=("cholesky", "gaussian", "lapack", "auto"),
-        help="S3 batched-solve code variant (default: cholesky reference)",
+        help="S3 batched-solve code variant (default: lapack, the chunked "
+        "LAPACK Cholesky; cholesky is the from-scratch reference)",
     )
     parser.add_argument(
         "--workers", default=None, metavar="N",

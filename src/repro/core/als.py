@@ -90,7 +90,9 @@ class TrainConfig:
     iterations: int = 5  # sweeps (paper's benchmark setting)
     tol: float = 0.0  # relative-improvement stopping threshold
     seed: int = 0
-    cholesky: bool = True  # legacy S3 toggle (§V-C); `solver` wins when set
+    # Legacy S3 toggle (§V-C): True solves with LAPACK Cholesky ("lapack"),
+    # False with Gaussian elimination; `solver` wins when set.
+    cholesky: bool = True
     init_scale: float = 0.1
     track_loss: bool = True  # record the loss after every iteration
     alpha: float = 40.0  # implicit confidence slope: c = 1 + α·r
@@ -100,7 +102,8 @@ class TrainConfig:
     tile_nnz: int | None = None  # nnz budget per assembly tile
     assembly_dtype: str | None = None  # "float32" | "float64" compute mode
     # S3 solver code variant; None defers to configure_solver /
-    # REPRO_SOLVER, then the legacy `cholesky` boolean above.
+    # REPRO_SOLVER, then the legacy `cholesky` boolean above.  "cholesky"
+    # names the from-scratch reference kernel.
     solver: str | None = None  # "cholesky" | "gaussian" | "lapack" | "auto"
     # Half-sweep parallelism: "auto" = one worker per core, N = exactly N
     # threads; None defers to configure_workers / REPRO_WORKERS (serial).

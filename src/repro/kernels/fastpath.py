@@ -203,10 +203,11 @@ def fast_half_sweep(
     (``X_prev``), or zero when no previous factors are given.
 
     ``solver`` selects the S3 variant (``cholesky``/``gaussian``/
-    ``lapack``/``auto``); the legacy ``cholesky`` boolean is honored when
-    ``solver`` is unset.  ``assembly``/``tile_nnz``/``compute_dtype``
-    select the S1/S2 code variant (see :func:`batched_normal_equations`);
-    ``None`` defers to the configured/environment defaults.
+    ``lapack``/``auto``); when it is unset, the legacy ``cholesky``
+    boolean picks ``lapack`` (true) or ``gaussian`` (false).
+    ``assembly``/``tile_nnz``/``compute_dtype`` select the S1/S2 code
+    variant (see :func:`batched_normal_equations`); ``None`` defers to
+    the configured/environment defaults.
 
     A :class:`~repro.sparse.shards.ShardedCSR` ``R`` runs the blocked
     out-of-core sweep (one resident row-range shard at a time) through a

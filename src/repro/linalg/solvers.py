@@ -10,21 +10,25 @@ latter.  This module is where those code variants live on the host side:
   per half-sweep.
 * ``gaussian`` — from-scratch LU with partial pivoting, the §V-C
   comparison point (~2× the flops of Cholesky on SPD systems).
-* ``lapack`` — the whole occupied ``(batch, k, k)`` stack factored by
-  NumPy's native batched ``np.linalg.cholesky`` (one gufunc call into
-  LAPACK ``dpotrf``) and solved with two blocked batched triangular
-  substitutions whose k² work rides on O(k/16) GEMMs.  When the batched
-  factorization rejects the stack, the failing systems are isolated
-  per-system (the paper's SPD guarantee makes this a never-in-theory
-  robustness path) and recovered with a least-squares solve, so one
-  indefinite matrix no longer aborts the whole batch.
+* ``lapack`` — the default.  The occupied ``(batch, k, k)`` stack is
+  factored chunk by chunk (8 MB of factor, and at least 512 systems) by
+  NumPy's batched ``np.linalg.cholesky`` (a gufunc over LAPACK
+  ``dpotrf``) and solved with two blocked batched triangular
+  substitutions whose k² work rides on O(k/16) GEMMs.  Chunking keeps the substitutions
+  cache-resident and bounds the S3 scratch; no system's result depends
+  on it.  When the factorization rejects a chunk, the failing systems
+  are isolated per-system (the paper's SPD guarantee makes this a
+  never-in-theory robustness path) and recovered with a least-squares
+  solve, so one indefinite matrix no longer aborts the whole batch.
+  Non-finite systems raise :class:`CholeskyError`, as in the reference.
 * ``auto`` — defer to the empirical selector in
   :mod:`repro.autotune.solver`, the §III-D measure-then-pick loop
   applied to S3.
 
 ``resolve_solver`` implements the usual precedence: explicit argument >
 :func:`configure_solver` (CLI) > ``REPRO_SOLVER`` environment > the
-legacy ``cholesky`` boolean of the sweep API.
+legacy ``cholesky`` boolean of the sweep API, which picks ``lapack``
+(true) or ``gaussian`` (false).  ``cholesky`` names only the reference.
 """
 
 from __future__ import annotations
@@ -74,8 +78,10 @@ def resolve_solver(solver: str | None = None, cholesky: bool = True) -> str:
     """The effective solver name for a sweep call.
 
     Precedence: explicit ``solver`` > :func:`configure_solver` >
-    ``REPRO_SOLVER`` > the legacy ``cholesky`` boolean ("cholesky" when
-    true, "gaussian" when false).
+    ``REPRO_SOLVER`` > the legacy ``cholesky`` boolean: true (the
+    default) picks the LAPACK Cholesky ``"lapack"``, false the Gaussian
+    elimination ``"gaussian"``.  The from-scratch reference
+    ``"cholesky"`` is only ever chosen by name.
     """
     if solver is not None:
         return _validate_solver(solver)
@@ -84,7 +90,7 @@ def resolve_solver(solver: str | None = None, cholesky: bool = True) -> str:
     env = os.environ.get(_ENV_SOLVER)
     if env:
         return _validate_solver(env)
-    return "cholesky" if cholesky else "gaussian"
+    return "lapack" if cholesky else "gaussian"
 
 
 def lapack_cholesky_factor(a: np.ndarray) -> np.ndarray:
@@ -97,11 +103,10 @@ def lapack_cholesky_factor(a: np.ndarray) -> np.ndarray:
     a = as_float64_stack(a, 3)
     if a.shape[1] != a.shape[2]:
         raise ValueError("input must have shape (batch, k, k)")
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        idx = int(np.nonzero(_indefinite_mask(a))[0][0])
-        raise CholeskyError(f"matrix {idx} not positive definite") from None
+    L = _factor(a)
+    if L is None:
+        _raise_first(_indefinite_mask(a), 0, "not positive definite")
+    return L
 
 
 def _indefinite_mask(a: np.ndarray) -> np.ndarray:
@@ -157,17 +162,40 @@ def _triangular_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+#: Factor bytes per chunk of :func:`batched_lapack_solve` (1024 systems at
+#: k=32): small enough that a chunk's factor stays in cache between the
+#: factorization and the two substitutions, and that S3 scratch stays
+#: bounded whatever the batch.
+_CHUNK_BYTES = 8 << 20
+
+#: Fewest systems per chunk.  NumPy's (g)ufunc loops release the GIL only
+#: above 500 iterations: a smaller chunk would hold it through the whole
+#: ``dpotrf`` loop and serialize the solves of concurrent sweep workers.
+#: Above k=45 this floor, not ``_CHUNK_BYTES``, sets the chunk (16 MB of
+#: factor at k=64).
+_MIN_CHUNK_SYSTEMS = 512
+
+
+def _chunk_systems(k: int) -> int:
+    """Systems per chunk of :func:`batched_lapack_solve` at width ``k``."""
+    return max(_MIN_CHUNK_SYSTEMS, _CHUNK_BYTES // max(1, 8 * k * k))
+
+
 def batched_lapack_solve(
     a: np.ndarray, b: np.ndarray, fallback: bool = True
 ) -> np.ndarray:
     """Solve a stack of SPD systems with LAPACK-class batched kernels.
 
+    The stack is solved in chunks of :func:`_chunk_systems` systems; each
+    system's result is bitwise the same as solving it alone.
     ``fallback=True`` (the sweep default) degrades gracefully when the
-    batched factorization rejects the stack: PD systems are still solved
-    through their Cholesky factors, and the indefinite ones fall back to
-    a per-system least-squares solve (counted in the
+    factorization rejects a chunk: PD systems are still solved through
+    their Cholesky factors, and the indefinite ones fall back to a
+    per-system least-squares solve (counted in the
     ``solver.lapack.fallback_systems`` metric).  ``fallback=False``
     raises :class:`CholeskyError` like the reference implementation.
+    A system with a non-finite entry raises :class:`CholeskyError` in
+    both modes.  Errors name the system's index in the whole stack.
     """
     a = as_float64_stack(a, 3)
     b = as_float64_stack(b, 2, "rhs")
@@ -175,18 +203,51 @@ def batched_lapack_solve(
         raise ValueError("input must have shape (batch, k, k)")
     if b.shape[0] != a.shape[0] or b.shape[1] != a.shape[1]:
         raise ValueError("rhs must have shape (batch, k)")
+    x = np.empty_like(b)
+    step = _chunk_systems(a.shape[1])
+    for s in range(0, a.shape[0], step):
+        x[s:s + step] = _solve_chunk(a[s:s + step], b[s:s + step], s, fallback)
+    return x
+
+
+def _solve_chunk(
+    a: np.ndarray, b: np.ndarray, offset: int, fallback: bool
+) -> np.ndarray:
+    L = _factor(a, offset)
+    if L is not None:
+        return _triangular_solve(L, b)
+    bad = _indefinite_mask(a)
+    if not fallback:
+        _raise_first(bad, offset, "not positive definite")
+    return _solve_with_fallback(a, b, bad)
+
+
+def _factor(a: np.ndarray, offset: int = 0) -> np.ndarray | None:
+    """LAPACK factor of the stack ``a``, or ``None`` if ``dpotrf`` rejects it.
+
+    Raises :class:`CholeskyError` for a system with a non-finite entry,
+    which ``dpotrf`` may factor without complaint.  On success that
+    shows as a non-finite diagonal in its factor (a NaN or inf in the
+    lower triangle reaches every later pivot), an O(batch·k) check; on
+    rejection ``a`` itself is checked before any recovery.
+    """
     try:
         L = np.linalg.cholesky(a)
+        finite = np.isfinite(np.diagonal(L, axis1=1, axis2=2)).all(axis=1)
     except np.linalg.LinAlgError:
-        if not fallback:
-            idx = int(np.nonzero(_indefinite_mask(a))[0][0])
-            raise CholeskyError(f"matrix {idx} not positive definite") from None
-        return _solve_with_fallback(a, b)
-    return _triangular_solve(L, b)
+        L = None
+        finite = np.isfinite(a).all(axis=(1, 2))
+    _raise_first(~finite, offset, "has non-finite entries")
+    return L
 
 
-def _solve_with_fallback(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    bad = _indefinite_mask(a)
+def _raise_first(mask: np.ndarray, offset: int, what: str) -> None:
+    if mask.any():
+        idx = offset + int(np.nonzero(mask)[0][0])
+        raise CholeskyError(f"matrix {idx} {what}")
+
+
+def _solve_with_fallback(a: np.ndarray, b: np.ndarray, bad: np.ndarray) -> np.ndarray:
     good = ~bad
     x = np.empty_like(b)
     if good.any():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from repro.linalg import (
     resolve_solver,
     solver_fn,
 )
+from repro.linalg.solvers import _chunk_systems
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import capture
 
@@ -141,6 +144,121 @@ class TestFallback:
             batched_lapack_solve(np.ones((2, 3, 4)), np.ones((2, 3)))
 
 
+def _chunk_sizes(k: int) -> list[int]:
+    step = _chunk_systems(k)
+    return [step - 1, step, step + 1, 2 * step + 3]
+
+
+class TestChunking:
+    """The stack is solved in cache-sized chunks; no result depends on it."""
+
+    @pytest.mark.parametrize("k", [10, 64])
+    def test_chunked_stacks_match_reference(self, rng, k):
+        sizes = _chunk_sizes(k)
+        A, b = spd_stack(rng, max(sizes), k)
+        x_ref = batched_cholesky_solve(A, b)
+        for batch in sizes:
+            np.testing.assert_allclose(
+                batched_lapack_solve(A[:batch], b[:batch]),
+                x_ref[:batch],
+                rtol=1e-10,
+                atol=1e-10,
+            )
+
+    @pytest.mark.parametrize("k", [10, 64])
+    def test_chunked_stacks_bitwise_equal_single_solves(self, rng, k):
+        sizes = _chunk_sizes(k)
+        A, b = spd_stack(rng, max(sizes), k)
+        alone = np.stack(
+            [batched_lapack_solve(A[i:i + 1], b[i:i + 1])[0] for i in range(len(A))]
+        )
+        for batch in sizes:
+            x = batched_lapack_solve(A[:batch], b[:batch])
+            assert np.array_equal(x, alone[:batch])
+
+    def test_indefinite_in_second_chunk(self, rng):
+        k = 16
+        step = _chunk_systems(k)
+        A, b = spd_stack(rng, step + 40, k)
+        bad = step + 17
+        A[bad] = -np.eye(k)
+        with pytest.raises(CholeskyError, match=f"matrix {bad} not positive"):
+            batched_lapack_solve(A, b, fallback=False)
+        obs_metrics.reset()
+        with capture():
+            x = batched_lapack_solve(A, b)
+        counters = obs_metrics.snapshot()["counters"]
+        assert counters["solver.lapack.fallback_systems"] == 1.0
+        good = np.arange(A.shape[0]) != bad
+        np.testing.assert_allclose(
+            x[good], batched_cholesky_solve(A[good], b[good]), rtol=1e-10, atol=1e-10
+        )
+
+    def test_scratch_bounded_by_chunk(self, rng):
+        # A k=64 stack of > 100 MB: the solve's own allocations stay well
+        # below the stack (a whole-stack factor would be a second copy).
+        k = 64
+        A1, b1 = spd_stack(rng, 1, k)
+        batch = -(-100_000_000 // A1.nbytes) + 1
+        A = np.repeat(A1, batch, axis=0)
+        b = np.repeat(b1, batch, axis=0)
+        assert A.nbytes >= 100_000_000
+        tracemalloc.start()
+        try:
+            x = batched_lapack_solve(A, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < A.nbytes / 4
+        np.testing.assert_array_equal(x, np.repeat(x[:1], batch, axis=0))
+
+
+def _poison(A: np.ndarray, idx: int, where: str, value: float) -> None:
+    if where == "diagonal":
+        A[idx, 5, 5] = value
+    else:  # symmetric off-diagonal pair
+        A[idx, 7, 3] = A[idx, 3, 7] = value
+
+
+class TestNonFinite:
+    """A NaN or inf system raises like the reference, never a silent answer."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("fallback", [True, False])
+    def test_raises_naming_global_index(self, rng, value, where, fallback):
+        k = 32
+        A, b = spd_stack(rng, _chunk_systems(k) + 30, k)
+        idx = _chunk_systems(k) + 9  # in the second chunk
+        _poison(A, idx, where, value)
+        with pytest.raises(CholeskyError):
+            batched_cholesky_solve(A, b)
+        obs_metrics.reset()
+        with capture():
+            with pytest.raises(CholeskyError, match=f"matrix {idx} has non-finite"):
+                batched_lapack_solve(A, b, fallback=fallback)
+        counters = obs_metrics.snapshot()["counters"]
+        assert "solver.lapack.fallback_systems" not in counters
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_beside_indefinite_not_recovered(self, rng, value):
+        A, b = spd_stack(rng, 6, 8)
+        A[1] = -np.eye(8)  # the chunk's factorization is rejected
+        _poison(A, 4, "diagonal", value)
+        obs_metrics.reset()
+        with capture():
+            with pytest.raises(CholeskyError, match="matrix 4 has non-finite"):
+                batched_lapack_solve(A, b)
+        counters = obs_metrics.snapshot()["counters"]
+        assert "solver.lapack.fallback_systems" not in counters
+
+    def test_factor_rejects_non_finite(self, rng):
+        A, _ = spd_stack(rng, 4, 6)
+        A[2, 1, 1] = np.nan
+        with pytest.raises(CholeskyError, match="matrix 2 has non-finite"):
+            lapack_cholesky_factor(A)
+
+
 class TestAsFloat64Stack:
     """Satellite of PR 3: validation must not copy already-conforming input."""
 
@@ -189,7 +307,7 @@ class TestRegistryAndResolution:
 
     def test_resolve_legacy_bool_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_SOLVER", raising=False)
-        assert resolve_solver() == "cholesky"
+        assert resolve_solver() == "lapack"
         assert resolve_solver(cholesky=False) == "gaussian"
 
     def test_invalid_names_rejected(self):

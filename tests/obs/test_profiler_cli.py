@@ -53,7 +53,7 @@ class TestProfileTraining:
         payload = json.loads(path.read_text())
         assert payload["meta"]["dataset"] == "YMR4"
         assert payload["meta"]["device"] == "NVIDIA Tesla K20c"
-        assert payload["metrics"]["counters"]["solver.cholesky.calls"] == 4
+        assert payload["metrics"]["counters"]["solver.lapack.calls"] == 4
 
     def test_auto_scale_and_unknown_names(self):
         with pytest.raises(KeyError):
