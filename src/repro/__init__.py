@@ -52,7 +52,6 @@ from repro.sparse import (
     CSCMatrix,
     ShardStore,
     ShardedCSR,
-    configure_sharding,
 )
 from repro.datasets import (
     DatasetSpec,
@@ -88,7 +87,8 @@ from repro.kernels import Variant, all_variants, recommended_variant
 from repro.solvers import PortableALS, Sac15Baseline, CuMF, SimulatedRun
 from repro.autotune import exhaustive_search, VariantSelector, train_default_selector
 from repro.extensions import SGDConfig, train_sgd, CCDConfig, train_ccd
-from repro.serving import TopNEngine, TopNResult, configure_serving
+from repro.serving import TopNEngine, TopNResult
+from repro.knobs import configure
 from repro import obs
 
 __version__ = "1.0.0"
@@ -126,7 +126,6 @@ __all__ = [
     "CSCMatrix",
     "ShardStore",
     "ShardedCSR",
-    "configure_sharding",
     # datasets
     "DatasetSpec",
     "MOVIELENS1M",
@@ -173,7 +172,8 @@ __all__ = [
     # serving
     "TopNEngine",
     "TopNResult",
-    "configure_serving",
+    # process-wide knobs
+    "configure",
     # observability
     "obs",
     "__version__",

@@ -460,9 +460,14 @@ class Recommender:
                 f"{path}: factor shapes {X.shape}/{Y.shape} do not match "
                 f"the stored config (k={k})"
             )
-        # Older files: explicit configs lack `alpha`, implicit ones lack
-        # `cholesky` (both take the defaults).  Files written before
-        # history persistence lack the key and load with an empty history.
+        # Older files: explicit configs lack `alpha` (it takes the
+        # default) and carry the retired `cholesky` boolean, whose false
+        # meant Gaussian elimination unless `solver` named one.  Files
+        # written before history persistence lack the key and load with
+        # an empty history.
+        cfg = dict(cfg)
+        if cfg.pop("cholesky", True) is False and cfg.get("solver") is None:
+            cfg["solver"] = "gaussian"
         config = TrainConfig(**cfg)
         rec = cls(algorithm=algorithm)
         rec.config = config  # keep persisted knobs (assembly, workers, …)

@@ -1,76 +1,53 @@
 """Code-variant selection (§III-D + the paper's stated future work).
 
-``search`` implements the paper's empirical approach: run every variant ×
-work-group size on the target execution context and keep the fastest.
-``selector`` implements the machine-learning approach the paper proposes
-as future work: learn the best configuration from (device, dataset)
-features so new contexts don't need an exhaustive sweep.
-``assembly`` applies the measure-then-pick loop to the *host* assembly
-variants (scatter vs degree-binned normal equations); ``serving``
-applies it to the query path (top-N tile size and scoring precision).
+``search`` implements the paper's empirical approach on the simulated
+devices: run every variant × work-group size on the target execution
+context and keep the fastest.  ``selector`` implements the
+machine-learning approach the paper proposes as future work: learn the
+best configuration from (device, dataset) features so new contexts
+don't need an exhaustive sweep.
+
+On the host, ``choice`` is the same measure-then-pick loop implemented
+once — one cache of :class:`Decision` verdicts keyed by ``(kind,
+context)`` — and ``solver``, ``assembly``, ``serving``, ``sharding`` and
+``blocks`` are its probes: the S3 solve, the S1/S2 assembly, the
+serving tile and precision, the out-of-core shard budget and the
+iALS++ block width.
 """
 
 from repro.autotune.search import SearchResult, exhaustive_search, WS_CANDIDATES
 from repro.autotune.features import context_features, FEATURE_NAMES
 from repro.autotune.selector import VariantSelector, train_default_selector
-from repro.autotune.assembly import (
-    AssemblyDecision,
-    measure_assembly,
-    select_assembly,
-    clear_decision_cache,
+from repro.autotune.choice import (
+    Decision,
+    bucket,
+    clear_decisions,
+    decisions,
+    measured_choice,
 )
-from repro.autotune.solver import (
-    SolverDecision,
-    measure_solvers,
-    select_solver,
-    cached_solver_decisions,
-    clear_solver_cache,
-)
-from repro.autotune.serving import (
-    ServingDecision,
-    measure_serving,
-    select_serving,
-    cached_serving_decisions,
-    clear_serving_cache,
-)
-from repro.autotune.sharding import (
-    ShardingDecision,
-    measure_sharding,
-    select_sharding,
-    cached_sharding_decisions,
-    clear_sharding_cache,
-)
-from repro.autotune.blocks import (
-    BlockDecision,
-    block_candidates,
-    measure_blocks,
-    select_block_size,
-    cached_block_decisions,
-    clear_block_cache,
-)
+from repro.autotune.assembly import measure_assembly, select_assembly
+from repro.autotune.solver import measure_solvers, select_solver
+from repro.autotune.serving import measure_serving, select_serving
+from repro.autotune.sharding import measure_sharding, select_sharding
+from repro.autotune.blocks import block_candidates, measure_blocks, select_block_size
 
 __all__ = [
-    "BlockDecision",
+    "Decision",
+    "bucket",
+    "clear_decisions",
+    "decisions",
+    "measured_choice",
     "block_candidates",
     "measure_blocks",
     "select_block_size",
-    "cached_block_decisions",
-    "clear_block_cache",
-    "ShardingDecision",
     "measure_sharding",
     "select_sharding",
-    "cached_sharding_decisions",
-    "clear_sharding_cache",
-    "ServingDecision",
     "measure_serving",
     "select_serving",
-    "cached_serving_decisions",
-    "clear_serving_cache",
-    "SolverDecision",
     "measure_solvers",
     "select_solver",
-    "cached_solver_decisions",
-    "clear_solver_cache",
+    "measure_assembly",
+    "select_assembly",
     "SearchResult",
     "exhaustive_search",
     "WS_CANDIDATES",
@@ -78,8 +55,4 @@ __all__ = [
     "FEATURE_NAMES",
     "VariantSelector",
     "train_default_selector",
-    "AssemblyDecision",
-    "measure_assembly",
-    "select_assembly",
-    "clear_decision_cache",
 ]

@@ -1,33 +1,25 @@
-"""Empirical selection between the host-side assembly code variants.
+"""The host assembly probe for ``assembly="auto"``.
 
-The paper picks device code variants by *measuring* them on the target
-execution context (§III-D) rather than predicting from first principles.
-This module applies the same loop to the two host assembly strategies —
-``scatter`` (legacy ``np.add.at``) vs ``binned`` (degree-binned batched
-GEMM) — by timing both on a small row-prefix sample of the actual rating
-matrix and caching the verdict per (shape, nnz, k) context, so an
-``mode="auto"`` training run pays the measurement once, not per sweep.
+Times the two host assembly strategies — ``scatter`` (legacy
+``np.add.at``) and ``binned`` (degree-binned batched GEMM) — on a small
+row-prefix sample of the actual rating matrix, for a ``(shape, nnz, k,
+weighted)`` context.  The sample is a prefix of the *whole* matrix, so
+an in-RAM matrix and a shard store of the same ratings probe the same
+rows and share one verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 
+from repro.autotune.choice import Decision, fastest, measured_choice
 from repro.linalg import normal_equations as ne
-from repro.obs import metrics as obs_metrics
-from repro.obs.spans import is_enabled
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.shards import ShardedCSR, ShardSpan
 
-__all__ = [
-    "AssemblyDecision",
-    "measure_assembly",
-    "select_assembly",
-    "clear_decision_cache",
-    "DEFAULT_SAMPLE_NNZ",
-]
+__all__ = ["measure_assembly", "select_assembly", "DEFAULT_SAMPLE_NNZ"]
 
 #: Non-zeros in the timing sample (further capped so the scatter probe's
 #: (nnz, k, k) tensor stays under ~64 MB — the probe must never cost more
@@ -36,34 +28,16 @@ DEFAULT_SAMPLE_NNZ = 40_000
 
 _SCATTER_PROBE_BYTES = 64 << 20
 
-_CACHE: dict[tuple[tuple[int, int], int, int, bool], "AssemblyDecision"] = {}
 
-
-@dataclass(frozen=True)
-class AssemblyDecision:
-    """One measured scatter-vs-binned verdict for an execution context."""
-
-    mode: str  # "binned" or "scatter" — the faster of the two
-    binned_seconds: float
-    scatter_seconds: float
-    sample_rows: int
-    sample_nnz: int
-    weighted: bool = False  # measured the confidence-weighted (implicit) kernel
-
-    @property
-    def speedup(self) -> float:
-        """How much faster the winner ran (>= 1)."""
-        lo = min(self.binned_seconds, self.scatter_seconds)
-        hi = max(self.binned_seconds, self.scatter_seconds)
-        return hi / lo if lo > 0 else float("inf")
-
-
-def _sample_rows(R: CSRMatrix, sample_nnz: int) -> CSRMatrix:
+def _sample_rows(R: CSRMatrix | ShardedCSR, sample_nnz: int) -> CSRMatrix:
     """A row-prefix submatrix with roughly ``sample_nnz`` non-zeros."""
-    if R.nnz <= sample_nnz:
+    if R.nnz <= sample_nnz and isinstance(R, CSRMatrix):
         return R
     cut = max(1, int(np.searchsorted(R.row_ptr, sample_nnz, side="left")))
+    cut = min(cut, R.nrows)
     end = int(R.row_ptr[cut])
+    if isinstance(R, ShardedCSR):
+        return R.load(ShardSpan(0, 0, cut, 0, end))
     return CSRMatrix(
         (cut, R.ncols),
         R.value[:end],
@@ -72,15 +46,19 @@ def _sample_rows(R: CSRMatrix, sample_nnz: int) -> CSRMatrix:
     )
 
 
+def _key(R: CSRMatrix | ShardedCSR, k: int, weighted: bool) -> tuple:
+    return (tuple(R.shape), int(R.nnz), int(k), bool(weighted))
+
+
 def measure_assembly(
-    R: CSRMatrix,
+    R: CSRMatrix | ShardedCSR,
     k: int,
     lam: float = 0.1,
     sample_nnz: int | None = None,
     repeats: int = 1,
     seed: int = 0,
     weighted: bool = False,
-) -> AssemblyDecision:
+) -> Decision:
     """Time both assembly variants on a sample of ``R`` and pick a winner.
 
     The sample's derived structures (degree bins, expanded rows) are
@@ -111,47 +89,32 @@ def measure_assembly(
         # weight values, only on their presence.
         w = S.value.astype(np.float64)
         kw = dict(nnz_weight=w, rhs_nnz_value=w + 1.0)
-
-    def best_of(fn) -> float:
+    seconds: dict[str, float] = {}
+    for mode, fn in (
+        ("binned", ne.binned_normal_equations),
+        ("scatter", ne.scatter_normal_equations),
+    ):
         best = float("inf")
         for _ in range(repeats):
             t0 = perf_counter()
             fn(S, Y, lam, **kw)
             best = min(best, perf_counter() - t0)
-        return best
-
-    binned_seconds = best_of(ne.binned_normal_equations)
-    scatter_seconds = best_of(ne.scatter_normal_equations)
-    mode = "binned" if binned_seconds <= scatter_seconds else "scatter"
-    return AssemblyDecision(
-        mode=mode,
-        binned_seconds=binned_seconds,
-        scatter_seconds=scatter_seconds,
-        sample_rows=S.nrows,
-        sample_nnz=S.nnz,
-        weighted=weighted,
+        seconds[mode] = best
+    return fastest(
+        "assembly", _key(R, k, weighted), seconds,
+        sample_rows=S.nrows, sample_nnz=S.nnz,
     )
 
 
 def select_assembly(
-    R: CSRMatrix, k: int, lam: float = 0.1, weighted: bool = False
+    R: CSRMatrix | ShardedCSR, k: int, lam: float = 0.1, weighted: bool = False
 ) -> str:
     """The measured-best assembly mode for ``(R, k)``, cached per context.
 
     Weighted (implicit) and unweighted kernels cache separate verdicts —
     they are different code variants with different constants.
     """
-    key = (R.shape, R.nnz, int(k), bool(weighted))
-    decision = _CACHE.get(key)
-    if decision is None:
-        decision = measure_assembly(R, k, lam, weighted=weighted)
-        _CACHE[key] = decision
-        if is_enabled():
-            obs_metrics.inc("assembly.auto.measurements")
-            obs_metrics.inc(f"assembly.auto.chose_{decision.mode}")
-    return decision.mode
-
-
-def clear_decision_cache() -> None:
-    """Forget all cached verdicts (tests and re-tuning)."""
-    _CACHE.clear()
+    return measured_choice(
+        "assembly", _key(R, k, weighted),
+        lambda: measure_assembly(R, k, lam, weighted=weighted),
+    ).choice

@@ -1,65 +1,29 @@
-"""Empirical selection of the iALS++ subspace block size.
+"""The iALS++ probe for ``block_size="auto"``.
 
 The right block width ``d`` is a hardware *and* shape question: smaller
 blocks cut per-pass flops (``nnz·k·d`` assembly, ``d³`` solves) but pay
 complement-prediction overhead (``nnz·(k−d)`` per block) and make less
 progress per pass, and where the balance lands depends on k, the matrix
-density, and the BLAS the host runs.  Following the paper's
-measure-then-pick loop (§III-D) — the same scheme the assembly, solver,
-and sharding autotuners use — this module *trains* a small synthetic
-probe at every candidate width, reads the loss-vs-seconds curve each run
-records (``IterationStats.elapsed_seconds``), and picks the width that
-reached the common target loss fastest.  Verdicts are cached per
-``(k, nnz/row bucket, dtype)`` so an ``"auto"`` training run pays the
-measurement once.
+density, and the BLAS the host runs.  This probe *trains* a small
+synthetic problem at every candidate width, reads the loss-vs-seconds
+curve each run records (``IterationStats.elapsed_seconds``), and picks
+the width that reached the common target loss fastest, for a ``(k,
+nnz/row bucket, dtype)`` context.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.autotune.choice import Decision, bucket, fastest, measured_choice
 
-import numpy as np
-
-from repro.obs import metrics as obs_metrics
-from repro.obs.spans import is_enabled
-
-__all__ = [
-    "BlockDecision",
-    "block_candidates",
-    "measure_blocks",
-    "select_block_size",
-    "cached_block_decisions",
-    "clear_block_cache",
-]
+__all__ = ["block_candidates", "measure_blocks", "select_block_size"]
 
 #: Probe corpus shape: large enough that per-iteration cost dominates
 #: Python dispatch, small enough that a full candidate scan stays well
 #: under a second at ML-scale k.
 PROBE_ROWS = 384
 
-_CACHE: dict[tuple[int, int, str], "BlockDecision"] = {}
-
-
-@dataclass(frozen=True)
-class BlockDecision:
-    """One measured subspace-width verdict for a shape context."""
-
-    block_size: int  # winning width (== k means full sweeps win)
-    seconds_to_target: dict[int, float]  # probe time-to-target per width
-    target_loss: float  # the common loss bar every candidate reached
-    k: int
-    nnz_bucket: int  # power-of-two nnz/row bucket
-    dtype: str
-
-    @property
-    def speedup(self) -> float:
-        """Winner's margin over full-k sweeps on the probe (>= 1 when
-        a strict subspace wins)."""
-        full = self.seconds_to_target.get(self.k)
-        best = self.seconds_to_target[self.block_size]
-        if full is None or best <= 0:
-            return 1.0
-        return full / best
+#: Densities above this many ratings per row share the top bucket.
+MAX_NNZ_BUCKET = 1024
 
 
 def block_candidates(k: int) -> tuple[int, ...]:
@@ -70,9 +34,9 @@ def block_candidates(k: int) -> tuple[int, ...]:
     return tuple(cands[-4:]) + (k,)
 
 
-def _nnz_bucket(nnz_per_row: float) -> int:
+def _key(k: int, nnz_per_row: float, dtype: str) -> tuple:
     per_row = max(1, int(round(nnz_per_row)))
-    return 1 << min(10, max(0, int(per_row - 1).bit_length()))
+    return (int(k), min(MAX_NNZ_BUCKET, bucket(per_row)), dtype)
 
 
 def _time_to_target(history, target: float) -> float:
@@ -92,7 +56,7 @@ def measure_blocks(
     probe_rows: int = PROBE_ROWS,
     seed: int = 0,
     compute_dtype: object | None = None,
-) -> BlockDecision:
+) -> Decision:
     """Train a synthetic probe at every candidate width; pick by
     measured time-to-target-loss.
 
@@ -133,14 +97,8 @@ def measure_blocks(
         histories[d] = train(ratings, config).history
     target = max(h[-1].loss for h in histories.values())
     seconds = {d: _time_to_target(h, target) for d, h in histories.items()}
-    winner = min(seconds, key=lambda d: (seconds[d], d))
-    return BlockDecision(
-        block_size=int(winner),
-        seconds_to_target=seconds,
-        target_loss=float(target),
-        k=int(k),
-        nnz_bucket=_nnz_bucket(nnz_per_row),
-        dtype=dtype,
+    return fastest(
+        "blocks", _key(k, nnz_per_row, dtype), seconds, target_loss=float(target)
     )
 
 
@@ -154,24 +112,7 @@ def select_block_size(
     ``(k, nnz/row bucket, dtype)``."""
     per_row = 64.0 if not nnz_per_row or nnz_per_row <= 0 else float(nnz_per_row)
     dtype = "float64" if compute_dtype is None else str(compute_dtype)
-    key = (int(k), _nnz_bucket(per_row), dtype)
-    decision = _CACHE.get(key)
-    if decision is None:
-        decision = measure_blocks(
-            k, per_row, compute_dtype=compute_dtype
-        )
-        _CACHE[key] = decision
-        if is_enabled():
-            obs_metrics.inc("blocks.auto.measurements")
-            obs_metrics.set_gauge("blocks.auto.block_size", decision.block_size)
-    return decision.block_size
-
-
-def cached_block_decisions() -> tuple[BlockDecision, ...]:
-    """Every verdict this process has measured (profile output reads it)."""
-    return tuple(_CACHE[key] for key in sorted(_CACHE))
-
-
-def clear_block_cache() -> None:
-    """Forget all cached verdicts (tests and re-tuning)."""
-    _CACHE.clear()
+    return measured_choice(
+        "blocks", _key(k, per_row, dtype),
+        lambda: measure_blocks(k, per_row, compute_dtype=compute_dtype),
+    ).choice

@@ -1,19 +1,12 @@
-"""Empirical selection of the serving engine's tile size and dtype.
+"""The serving probe for ``serve_tile_bytes``/``serve_dtype="auto"``.
 
-The paper picks device code variants by *measuring* them on the target
-execution context (§III-D); PRs 2–3 applied that loop to the host
-assembly and the S3 solve.  This module applies it to the query path:
-time the tiled top-N engine over a grid of ``(tile_bytes, dtype)``
-candidates on synthetic factors shaped like the real catalog — the
-verdict is the configuration with the highest users/sec, cached per
-``(k, catalog-bucket)`` so a ``tile_bytes="auto"`` engine pays the
-measurement once, not per query.
+Times the tiled top-N engine over a grid of ``(tile_bytes, dtype)``
+candidates on synthetic factors shaped like the real catalog, for a
+``(k, catalog-bucket)`` context: the best tile is driven by cache
+footprint relative to the score-buffer working set, which moves with
+``k`` and only coarsely with the exact item count.
 
-Catalog sizes are bucketed to powers of two: the best tile is driven by
-cache footprint relative to the score-buffer working set, which moves
-with ``k`` and only coarsely with the exact item count.
-
-Note the dtype verdict is a *throughput* verdict: float32 scoring halves
+The dtype verdict is a *throughput* verdict: float32 scoring halves
 memory traffic but rounds scores, so near-tied items can swap ranks
 versus the float64 reference.  Engines default to float64; ``"auto"``
 opts into the measured winner.
@@ -21,20 +14,15 @@ opts into the measured winner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 
-from repro.obs import metrics as obs_metrics
-from repro.obs.spans import is_enabled
+from repro.autotune.choice import Decision, bucket, fastest, measured_choice
 
 __all__ = [
-    "ServingDecision",
     "measure_serving",
     "select_serving",
-    "cached_serving_decisions",
-    "clear_serving_cache",
     "TILE_CANDIDATES",
     "DTYPE_CANDIDATES",
     "PROBE_USERS",
@@ -49,32 +37,6 @@ DTYPE_CANDIDATES = ("float32", "float64")
 #: enough that the probe never costs more than a handful of real queries.
 PROBE_USERS = 512
 
-_CACHE: dict[tuple[int, int], "ServingDecision"] = {}
-
-
-@dataclass(frozen=True)
-class ServingDecision:
-    """One measured serving verdict for a ``(k, catalog-bucket)`` context."""
-
-    tile_bytes: int  # winning score-buffer budget
-    dtype: str  # winning scoring precision
-    users_per_sec: dict[tuple[int, str], float]  # throughput per candidate
-    n_items: int  # catalog size actually probed
-    k: int
-    n_bucket: int  # power-of-two bucket the catalog size hashed to
-
-    @property
-    def speedup(self) -> float:
-        """Winner's margin over the slowest candidate (>= 1)."""
-        hi = self.users_per_sec[(self.tile_bytes, self.dtype)]
-        lo = min(self.users_per_sec.values())
-        return hi / lo if lo > 0 else float("inf")
-
-
-def _n_bucket(n_items: int) -> int:
-    """Round up to a power of two (1 for empty catalogs)."""
-    return 1 << max(0, int(n_items - 1).bit_length())
-
 
 def measure_serving(
     n_items: int,
@@ -84,8 +46,9 @@ def measure_serving(
     seed: int = 0,
     tile_candidates: tuple[int, ...] = TILE_CANDIDATES,
     dtype_candidates: tuple[str, ...] = DTYPE_CANDIDATES,
-) -> ServingDecision:
-    """Time the engine over the candidate grid on synthetic factors."""
+) -> Decision:
+    """Time one probe block per ``(tile_bytes, dtype)`` candidate; the
+    verdict's ``choice`` is that pair."""
     from repro.serving.engine import TopNEngine
 
     if n_items <= 0 or k <= 0:
@@ -97,7 +60,7 @@ def measure_serving(
     X = rng.standard_normal((users, k))
     Y = rng.standard_normal((n_items, k))
     ids = np.arange(users)
-    throughput: dict[tuple[int, str], float] = {}
+    seconds: dict[tuple[int, str], float] = {}
     for dtype in dtype_candidates:
         for tile_bytes in tile_candidates:
             engine = TopNEngine(X, Y, tile_bytes=tile_bytes, dtype=dtype)
@@ -107,36 +70,15 @@ def measure_serving(
                 t0 = perf_counter()
                 engine.query(ids, n=top_n)
                 best = min(best, perf_counter() - t0)
-            throughput[(int(tile_bytes), dtype)] = users / best if best > 0 else 0.0
-    tile_bytes, dtype = max(throughput, key=throughput.get)
-    return ServingDecision(
-        tile_bytes=tile_bytes,
-        dtype=dtype,
-        users_per_sec=throughput,
-        n_items=int(n_items),
-        k=int(k),
-        n_bucket=_n_bucket(n_items),
+            seconds[(int(tile_bytes), dtype)] = best
+    return fastest(
+        "serve", (int(k), bucket(n_items)), seconds,
+        n_items=int(n_items), probe_users=users, top_n=top_n,
     )
 
 
-def select_serving(n_items: int, k: int) -> ServingDecision:
-    """The measured-best serving config for ``(n_items, k)``, cached."""
-    key = (int(k), _n_bucket(n_items))
-    decision = _CACHE.get(key)
-    if decision is None:
-        decision = measure_serving(n_items, k)
-        _CACHE[key] = decision
-        if is_enabled():
-            obs_metrics.inc("serve.auto.measurements")
-            obs_metrics.inc(f"serve.auto.chose_{decision.dtype}")
-    return decision
-
-
-def cached_serving_decisions() -> tuple[ServingDecision, ...]:
-    """Every verdict this process has measured (profile output reads it)."""
-    return tuple(_CACHE[key] for key in sorted(_CACHE))
-
-
-def clear_serving_cache() -> None:
-    """Forget all cached verdicts (tests and re-tuning)."""
-    _CACHE.clear()
+def select_serving(n_items: int, k: int) -> tuple[int, str]:
+    """The measured-best ``(tile_bytes, dtype)`` for ``(n_items, k)``."""
+    return measured_choice(
+        "serve", (int(k), bucket(n_items)), lambda: measure_serving(n_items, k)
+    ).choice

@@ -1,74 +1,32 @@
-"""Empirical selection of the out-of-core shard byte budget.
+"""The out-of-core probe: which shard byte budget sweeps a store fastest.
 
-The paper picks device code variants by *measuring* candidates on the
-target execution context (§III-D); earlier PRs applied that loop to the
-host assembly, the S3 solve and the serving tile.  This module applies
-it to the out-of-core training path: the shard byte budget trades IO
-batching (big shards amortize memmap page faults and prefetch overhead)
-against residency (small shards keep the sweep's working set inside the
-cache hierarchy and the process inside its memory cap).  The sweet spot
-depends on the store's shape and ``k``, so it is measured, not guessed:
-time one X half-sweep per candidate budget on the actual store and keep
-the fastest.
+The shard byte budget trades IO batching (big shards amortize memmap
+page faults and prefetch overhead) against residency (small shards keep
+the sweep's working set inside the cache hierarchy and the process
+inside its memory cap).  The sweet spot depends on the store's shape
+and ``k``, so this probe times one X half-sweep per candidate budget on
+the actual store, for a ``(k, nnz-bucket)`` context.
 
 Budgets whose whole-row span plan collapses to the same shard count as
 an already-measured candidate are skipped — on a store smaller than the
 budget every candidate degenerates to one resident shard and there is
 nothing to compare.
-
-Verdicts cache per ``(k, nnz-bucket)`` like the other autotuners, so a
-``tune-sharding``-style probe pays the measurement once per context.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 
-from repro.obs import metrics as obs_metrics
-from repro.obs.spans import is_enabled
+from repro.autotune.choice import Decision, bucket, fastest, measured_choice
 from repro.parallel.executor import solve_bytes_per_row
 from repro.sparse.shards import MIN_SHARD_BYTES, ShardStore
 
-__all__ = [
-    "ShardingDecision",
-    "measure_sharding",
-    "select_sharding",
-    "cached_sharding_decisions",
-    "clear_sharding_cache",
-    "SHARD_CANDIDATES",
-]
+__all__ = ["measure_sharding", "select_sharding", "SHARD_CANDIDATES"]
 
 #: Shard byte budgets probed, spanning cache-resident to IO-amortizing.
 SHARD_CANDIDATES = (16 << 20, 64 << 20, 256 << 20, 1 << 30)
-
-_CACHE: dict[tuple[int, int], "ShardingDecision"] = {}
-
-
-@dataclass(frozen=True)
-class ShardingDecision:
-    """One measured shard-budget verdict for a ``(k, nnz-bucket)`` context."""
-
-    shard_bytes: int  # winning byte budget
-    seconds: dict[int, float]  # sweep time per measured candidate
-    shards: dict[int, int]  # resident-shard count per measured candidate
-    nnz: int
-    k: int
-    nnz_bucket: int  # power-of-two bucket the store's nnz hashed to
-
-    @property
-    def speedup(self) -> float:
-        """Winner's margin over the slowest candidate (>= 1)."""
-        lo = self.seconds[self.shard_bytes]
-        hi = max(self.seconds.values())
-        return hi / lo if lo > 0 else float("inf")
-
-
-def _nnz_bucket(nnz: int) -> int:
-    """Round up to a power of two (1 for empty stores)."""
-    return 1 << max(0, int(nnz - 1).bit_length())
 
 
 def measure_sharding(
@@ -77,8 +35,9 @@ def measure_sharding(
     repeats: int = 1,
     seed: int = 0,
     candidates: tuple[int, ...] = SHARD_CANDIDATES,
-) -> ShardingDecision:
-    """Time one X half-sweep per candidate budget on the actual store."""
+) -> Decision:
+    """Time one X half-sweep per candidate budget on the actual store;
+    ``detail["shards"]`` holds each measured budget's shard count."""
     from repro.kernels.fastpath import fast_half_sweep
 
     if k <= 0:
@@ -113,34 +72,14 @@ def measure_sharding(
         view.release_pages()
         seconds[budget] = best
         shards[budget] = n_spans
-    winner = min(seconds, key=seconds.get)
-    return ShardingDecision(
-        shard_bytes=winner,
-        seconds=seconds,
-        shards=shards,
-        nnz=store.nnz,
-        k=int(k),
-        nnz_bucket=_nnz_bucket(store.nnz),
+    return fastest(
+        "shard", (int(k), bucket(store.nnz)), seconds,
+        nnz=store.nnz, shards=shards,
     )
 
 
-def select_sharding(store: ShardStore, k: int = 10) -> ShardingDecision:
+def select_sharding(store: ShardStore, k: int = 10) -> int:
     """The measured-best shard budget for this store and ``k``, cached."""
-    key = (int(k), _nnz_bucket(store.nnz))
-    decision = _CACHE.get(key)
-    if decision is None:
-        decision = measure_sharding(store, k)
-        _CACHE[key] = decision
-        if is_enabled():
-            obs_metrics.inc("shard.auto.measurements")
-    return decision
-
-
-def cached_sharding_decisions() -> tuple[ShardingDecision, ...]:
-    """Every verdict this process has measured."""
-    return tuple(_CACHE[key] for key in sorted(_CACHE))
-
-
-def clear_sharding_cache() -> None:
-    """Forget all cached verdicts (tests and re-tuning)."""
-    _CACHE.clear()
+    return measured_choice(
+        "shard", (int(k), bucket(store.nnz)), lambda: measure_sharding(store, k)
+    ).choice

@@ -1,69 +1,28 @@
-"""Empirical selection between the S3 batched-solve code variants.
+"""The S3 solver probe for ``solver="auto"``.
 
-The paper picks device code variants by *measuring* them on the target
-execution context (§III-D); PR 2 applied that loop to the host S1/S2
-assembly, and this module applies it to S3: time the ``cholesky``
-reference, the ``gaussian`` comparator and the ``lapack`` batched
-variant on a synthetic SPD stack shaped like the real solve —
-``(batch, k, k)`` normal matrices ``WᵀW + λI`` — and cache the verdict
-per ``(k, batch-bucket)`` context, so a ``solver="auto"`` training run
-pays the measurement once, not per sweep.
-
-Batch sizes are bucketed to powers of two: the crossover between the
-variants moves with ``k`` (flops per system) and only coarsely with the
-batch (fixed per-call overhead amortized), so neighboring batch sizes
-share a verdict.
+Times the ``cholesky`` reference, the ``gaussian`` comparator and the
+``lapack`` batched variant on a synthetic SPD stack shaped like the
+real solve — ``(batch, k, k)`` normal matrices ``WᵀW + λI`` — for a
+``(k, batch-bucket)`` context: the crossover between the variants moves
+with ``k`` (flops per system) and only coarsely with the batch (fixed
+per-call overhead amortized).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 
+from repro.autotune.choice import Decision, bucket, fastest, measured_choice
 from repro.linalg.solvers import SOLVERS
-from repro.obs import metrics as obs_metrics
-from repro.obs.spans import is_enabled
 
-__all__ = [
-    "SolverDecision",
-    "measure_solvers",
-    "select_solver",
-    "cached_solver_decisions",
-    "clear_solver_cache",
-    "MAX_PROBE_BATCH",
-]
+__all__ = ["measure_solvers", "select_solver", "MAX_PROBE_BATCH"]
 
 #: Probe stacks are capped at this many systems: per-system cost is what
 #: the measurement estimates, and a 512-system stack already amortizes
 #: every per-call constant the variants differ in.
 MAX_PROBE_BATCH = 512
-
-_CACHE: dict[tuple[int, int], "SolverDecision"] = {}
-
-
-@dataclass(frozen=True)
-class SolverDecision:
-    """One measured S3 verdict for a ``(k, batch-bucket)`` context."""
-
-    solver: str  # the fastest variant's name
-    seconds: dict[str, float]  # best-of-N probe time per variant
-    k: int
-    batch_bucket: int  # power-of-two bucket the batch size hashed to
-    probe_batch: int  # systems actually timed
-
-    @property
-    def speedup(self) -> float:
-        """Winner's margin over the slowest variant (>= 1)."""
-        lo = self.seconds[self.solver]
-        hi = max(self.seconds.values())
-        return hi / lo if lo > 0 else float("inf")
-
-
-def _batch_bucket(batch: int) -> int:
-    """Round up to a power of two (1 for empty batches)."""
-    return 1 << max(0, int(batch - 1).bit_length())
 
 
 def _spd_stack(
@@ -84,7 +43,7 @@ def measure_solvers(
     lam: float = 0.1,
     repeats: int = 2,
     seed: int = 0,
-) -> SolverDecision:
+) -> Decision:
     """Time every registered S3 variant on an ALS-shaped SPD stack."""
     if k <= 0:
         raise ValueError("k must be positive")
@@ -102,34 +61,13 @@ def measure_solvers(
             fn(A, b)
             best = min(best, perf_counter() - t0)
         seconds[name] = best
-    winner = min(seconds, key=seconds.get)
-    return SolverDecision(
-        solver=winner,
-        seconds=seconds,
-        k=int(k),
-        batch_bucket=_batch_bucket(batch),
-        probe_batch=probe_batch,
+    return fastest(
+        "solver", (int(k), bucket(batch)), seconds, probe_batch=probe_batch
     )
 
 
 def select_solver(k: int, batch: int, lam: float = 0.1) -> str:
     """The measured-best S3 solver for ``(k, batch)``, cached per bucket."""
-    key = (int(k), _batch_bucket(batch))
-    decision = _CACHE.get(key)
-    if decision is None:
-        decision = measure_solvers(k, batch, lam)
-        _CACHE[key] = decision
-        if is_enabled():
-            obs_metrics.inc("solver.auto.measurements")
-            obs_metrics.inc(f"solver.auto.chose_{decision.solver}")
-    return decision.solver
-
-
-def cached_solver_decisions() -> tuple[SolverDecision, ...]:
-    """Every verdict this process has measured (profile output reads it)."""
-    return tuple(_CACHE[key] for key in sorted(_CACHE))
-
-
-def clear_solver_cache() -> None:
-    """Forget all cached verdicts (tests and re-tuning)."""
-    _CACHE.clear()
+    return measured_choice(
+        "solver", (int(k), bucket(batch)), lambda: measure_solvers(k, batch, lam)
+    ).choice

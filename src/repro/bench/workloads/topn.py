@@ -131,10 +131,9 @@ def run_benchmark(scale: float, k: int, top_n: int, repeats: int, seed: int) -> 
 
     from repro.autotune.serving import select_serving
 
-    decision = select_serving(R.ncols, k)
+    auto_tile, auto_dtype = select_serving(R.ncols, k)
     print(
-        f"  autotune picks   : tile_bytes={decision.tile_bytes} "
-        f"dtype={decision.dtype}",
+        f"  autotune picks   : tile_bytes={auto_tile} dtype={auto_dtype}",
         flush=True,
     )
 
@@ -157,7 +156,7 @@ def run_benchmark(scale: float, k: int, top_n: int, repeats: int, seed: int) -> 
             "peak_scoring_bytes": dense_bytes,
         },
         "engines": engines,
-        "autotune": {"tile_bytes": decision.tile_bytes, "dtype": decision.dtype},
+        "autotune": {"tile_bytes": auto_tile, "dtype": auto_dtype},
         "best_speedup": best["speedup"],
         "best_peak_fraction_of_dense": best["peak_scoring_bytes"] / dense_bytes,
         "f64_identical_to_dense": f64_identical,

@@ -59,22 +59,30 @@ Usage::
                                    # any command can expose its live
                                    # registry on an HTTP endpoint
 
-The host S1/S2 assembly variant is selectable everywhere via
-``--assembly {binned,scatter,auto}``, ``--tile-nnz N`` and
-``--assembly-dtype {float32,float64}`` (or the ``REPRO_ASSEMBLY``,
-``REPRO_TILE_NNZ``, ``REPRO_ASSEMBLY_DTYPE`` environment variables).
-The S3 solve and the half-sweep parallelism are selectable the same
-way: ``--solver {cholesky,gaussian,lapack,auto}`` (``REPRO_SOLVER``)
-and ``--workers {auto,N}`` (``REPRO_WORKERS``).  Training can descend
-on column subspaces instead of full k-wide rows:
+Eight process-wide knobs select code variants and budgets; each has a
+flag, a ``REPRO_*`` environment variable and a ``repro.configure(...)``
+name (:mod:`repro.knobs`), resolved as flag/argument > configure >
+environment > default:
+
+* ``--solver {cholesky,gaussian,lapack,auto}`` — ``REPRO_SOLVER``
+  (S3 solve, default ``lapack``);
+* ``--workers {auto,N}`` — ``REPRO_WORKERS`` (half-sweep threads,
+  default 1; ``auto`` = one per usable core);
+* ``--assembly {binned,scatter,auto}`` — ``REPRO_ASSEMBLY``;
+* ``--tile-nnz N`` — ``REPRO_TILE_NNZ`` (assembly tile budget);
+* ``--assembly-dtype {float32,float64}`` — ``REPRO_ASSEMBLY_DTYPE``;
+* ``--tile-bytes {B,auto}`` — ``REPRO_SERVE_TILE_BYTES`` (serving
+  score-buffer budget, default 8 MB);
+* ``--serve-dtype {float32,float64,auto}`` — ``REPRO_SERVE_DTYPE``;
+* ``--shard-bytes B`` — ``REPRO_SHARD_BYTES`` (out-of-core shard
+  budget, default 256 MB).
+
+``auto`` measures the candidates on the run's own data (the
+``tune-*`` commands print such a measurement).  Training can also
+descend on column subspaces instead of full k-wide rows:
 ``--block-size {d,auto}`` picks the iALS++ block width (``auto`` =
 measure via :mod:`repro.autotune.blocks`) and ``--block-schedule
-{paired,sweep}`` its visit order.  The serving engine's
-tile budget and score precision follow the same pattern:
-``--tile-bytes {B,auto}`` (``REPRO_SERVE_TILE_BYTES``) and
-``--serve-dtype {float32,float64,auto}`` (``REPRO_SERVE_DTYPE``), as
-does the out-of-core shard budget: ``--shard-bytes B``
-(``REPRO_SHARD_BYTES``).
+{paired,sweep}`` its visit order.
 """
 
 from __future__ import annotations
@@ -123,6 +131,23 @@ def _run_tune(device_name: str, dataset_name: str, k: int) -> int:
     return 0
 
 
+def _print_decision(title: str, decision) -> None:
+    """A ``tune-*`` report: each measured candidate, fastest first, what
+    the probe measured on, and the verdict."""
+    from repro.autotune.choice import label
+
+    print(title)
+    for choice, seconds in sorted(decision.seconds.items(), key=lambda kv: kv[1]):
+        marker = "  <- best" if choice == decision.choice else ""
+        print(f"  {label(choice):16s} {seconds * 1e3:10.2f} ms{marker}")
+    if decision.detail:
+        print("  probe: " + ", ".join(f"{k}={v}" for k, v in decision.detail.items()))
+    print(
+        f"best: {label(decision.choice)} ({decision.speedup:.2f}x over the "
+        f"slowest) for the {decision.kind} context {decision.key}"
+    )
+
+
 def _run_tune_assembly(ns: argparse.Namespace) -> int:
     if len(ns.args) != 1:
         print("usage: repro-als tune-assembly <dataset> [--k K] [--scale S]",
@@ -141,13 +166,10 @@ def _run_tune_assembly(ns: argparse.Namespace) -> int:
     from repro.datasets.synthetic import generate_ratings as _gen
 
     R = CSRMatrix.from_coo(_gen(spec, seed=ns.seed))
-    decision = measure_assembly(R, k=ns.k)
-    print(f"assembly variants on {spec.abbr} (scale={scale:g}, k={ns.k}), "
-          f"measured on a {decision.sample_rows}-row / "
-          f"{decision.sample_nnz}-nnz sample:")
-    print(f"  binned  {decision.binned_seconds * 1e3:9.2f} ms")
-    print(f"  scatter {decision.scatter_seconds * 1e3:9.2f} ms")
-    print(f"best: {decision.mode} ({decision.speedup:.2f}x over the other)")
+    _print_decision(
+        f"assembly variants on {spec.abbr} (scale={scale:g}, k={ns.k}):",
+        measure_assembly(R, k=ns.k),
+    )
     return 0
 
 
@@ -172,14 +194,10 @@ def _run_tune_solver(ns: argparse.Namespace) -> int:
     elif batch is None:
         batch = 4096
         label = f"batch={batch}"
-    decision = measure_solvers(k=ns.k, batch=batch, seed=ns.seed)
-    print(f"S3 solver variants for {label}, k={ns.k}, "
-          f"measured on a {decision.probe_batch}-system probe:")
-    for name, seconds in sorted(decision.seconds.items(), key=lambda kv: kv[1]):
-        per = seconds / decision.probe_batch * 1e6
-        print(f"  {name:9s} {seconds * 1e3:9.2f} ms  ({per:8.2f} us/system)")
-    print(f"best: {decision.solver} ({decision.speedup:.2f}x over the slowest); "
-          f"cached for (k={decision.k}, batch<={decision.batch_bucket})")
+    _print_decision(
+        f"S3 solver variants for {label}, k={ns.k}:",
+        measure_solvers(k=ns.k, batch=batch, seed=ns.seed),
+    )
     return 0
 
 
@@ -199,17 +217,11 @@ def _run_tune_blocks(ns: argparse.Namespace) -> int:
         label = f"{spec.abbr} (~{nnz_per_row} ratings/row)"
     else:
         nnz_per_row, label = 64, "~64 ratings/row"
-    decision = measure_blocks(ns.k, nnz_per_row, seed=ns.seed)
-    print(f"iALS++ block widths for {label}, k={ns.k}, measured on a "
-          f"synthetic convergence probe (time to shared target loss "
-          f"{decision.target_loss:.4f}):")
-    for d, seconds in sorted(decision.seconds_to_target.items()):
-        tag = "full sweep" if d == decision.k else f"d={d}"
-        marker = "  <- best" if d == decision.block_size else ""
-        print(f"  {tag:12s} {seconds * 1e3:9.2f} ms{marker}")
-    print(f"best: block_size={decision.block_size} "
-          f"({decision.speedup:.2f}x over the full sweep); cached for "
-          f"(k={decision.k}, nnz/row<={decision.nnz_bucket})")
+    _print_decision(
+        f"iALS++ block widths for {label}, k={ns.k} (time for a synthetic "
+        f"probe to reach the loss every width reaches):",
+        measure_blocks(ns.k, nnz_per_row, seed=ns.seed),
+    )
     return 0
 
 
@@ -228,17 +240,10 @@ def _run_tune_serving(ns: argparse.Namespace) -> int:
         n_items, label = spec.n, f"{spec.abbr} (n={spec.n})"
     else:
         n_items, label = 4096, "n=4096"
-    decision = measure_serving(n_items, ns.k, top_n=ns.n, seed=ns.seed)
-    print(f"serving engine candidates for {label}, k={ns.k}, top-{ns.n}:")
-    ranked = sorted(
-        decision.users_per_sec.items(), key=lambda kv: kv[1], reverse=True
-    )
-    for (tile_bytes, dtype), ups in ranked:
-        print(f"  tile={tile_bytes >> 20:3d} MB  {dtype:8s} {ups:12.0f} users/s")
-    print(
-        f"best: tile={decision.tile_bytes} bytes, {decision.dtype} "
-        f"({decision.speedup:.2f}x over the slowest); cached for "
-        f"(k={decision.k}, n<={decision.n_bucket})"
+    _print_decision(
+        f"serving engine (tile, dtype) candidates for {label}, k={ns.k}, "
+        f"top-{ns.n}:",
+        measure_serving(n_items, ns.k, top_n=ns.n, seed=ns.seed),
     )
     return 0
 
@@ -378,13 +383,10 @@ def _run_tune_sharding(ns: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     assert isinstance(source, ShardStore)
-    decision = measure_sharding(source, k=ns.k)
-    print(f"shard budgets on {label}, k={ns.k}:")
-    for budget, seconds in sorted(decision.seconds.items()):
-        print(f"  {budget >> 20:5d} MB  {decision.shards[budget]:3d} shards  "
-              f"{seconds * 1e3:9.2f} ms/half-sweep")
-    print(f"best: {decision.shard_bytes >> 20} MB "
-          f"({decision.speedup:.2f}x over the slowest)")
+    _print_decision(
+        f"shard budgets on {label}, k={ns.k} (one X half-sweep each):",
+        measure_sharding(source, k=ns.k),
+    )
     return 0
 
 
@@ -896,40 +898,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     ns = parser.parse_args(argv)
 
-    if ns.assembly or ns.tile_nnz or ns.assembly_dtype:
-        from repro.linalg.normal_equations import configure_assembly
+    from repro.knobs import configure
 
-        configure_assembly(
-            mode=ns.assembly, tile_nnz=ns.tile_nnz, compute_dtype=ns.assembly_dtype
+    try:
+        configure(
+            solver=ns.solver, workers=ns.workers, assembly=ns.assembly,
+            tile_nnz=ns.tile_nnz, assembly_dtype=ns.assembly_dtype,
+            serve_tile_bytes=ns.tile_bytes, serve_dtype=ns.serve_dtype,
+            shard_bytes=ns.shard_bytes,
         )
-    if ns.solver:
-        from repro.linalg.solvers import configure_solver
-
-        configure_solver(ns.solver)
-    if ns.tile_bytes or ns.serve_dtype:
-        from repro.serving import configure_serving
-
-        try:
-            configure_serving(tile_bytes=ns.tile_bytes, dtype=ns.serve_dtype)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    if ns.workers:
-        from repro.parallel import configure_workers
-
-        try:
-            configure_workers(ns.workers)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    if ns.shard_bytes is not None:
-        from repro.sparse.shards import configure_sharding
-
-        try:
-            configure_sharding(ns.shard_bytes)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
     if ns.command == "serve-metrics":
         return _run_serve_metrics(ns)

@@ -47,9 +47,8 @@ from repro.core.subspace import (
     subspace_iteration,
     validate_block_size,
 )
-from repro.linalg.normal_equations import ASSEMBLY_MODES
-from repro.linalg.solvers import SOLVER_MODES
-from repro.parallel.executor import SweepExecutor, _parse_workers
+from repro.knobs import resolve
+from repro.parallel.executor import SweepExecutor
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import span
 from repro.sparse.coo import COOMatrix
@@ -90,23 +89,20 @@ class TrainConfig:
     iterations: int = 5  # sweeps (paper's benchmark setting)
     tol: float = 0.0  # relative-improvement stopping threshold
     seed: int = 0
-    # Legacy S3 toggle (§V-C): True solves with LAPACK Cholesky ("lapack"),
-    # False with Gaussian elimination; `solver` wins when set.
-    cholesky: bool = True
     init_scale: float = 0.1
     track_loss: bool = True  # record the loss after every iteration
     alpha: float = 40.0  # implicit confidence slope: c = 1 + α·r
-    # S1/S2 assembly code variant (§III-D analogue); None defers to the
-    # configured/environment defaults of repro.linalg.normal_equations.
+    # The knobs below share their names with repro.knobs; None defers to
+    # repro.configure, then the REPRO_* environment, then the default.
+    # S1/S2 assembly code variant (§III-D analogue).
     assembly: str | None = None  # "binned" | "scatter" | "auto"
     tile_nnz: int | None = None  # nnz budget per assembly tile
     assembly_dtype: str | None = None  # "float32" | "float64" compute mode
-    # S3 solver code variant; None defers to configure_solver /
-    # REPRO_SOLVER, then the legacy `cholesky` boolean above.  "cholesky"
-    # names the from-scratch reference kernel.
+    # S3 solver code variant; "cholesky" names the from-scratch reference
+    # kernel, the default "lapack" the chunked LAPACK Cholesky.
     solver: str | None = None  # "cholesky" | "gaussian" | "lapack" | "auto"
-    # Half-sweep parallelism: "auto" = one worker per core, N = exactly N
-    # threads; None defers to configure_workers / REPRO_WORKERS (serial).
+    # Half-sweep parallelism: "auto" = one worker per usable core, N =
+    # exactly N threads; the default is serial.
     workers: int | str | None = None
     # Factor-matrix backing: "ram" (heap arrays, the default) or "memmap"
     # (.npy-backed maps with per-shard spill — the out-of-core trainers'
@@ -135,18 +131,10 @@ class TrainConfig:
             raise ValueError("tol must be non-negative")
         if self.tol > 0 and not self.track_loss:
             raise ValueError("tol-based stopping requires track_loss")
-        if self.tile_nnz is not None and self.tile_nnz < 1:
-            raise ValueError("tile_nnz must be >= 1")
-        for name, allowed in (
-            ("assembly", ASSEMBLY_MODES),
-            ("assembly_dtype", ("float32", "float64")),
-            ("solver", SOLVER_MODES),
-        ):
-            value = getattr(self, name)
-            if value is not None and value not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
-        if self.workers is not None:
-            _parse_workers(self.workers)  # raises on bad specs
+        for knob in ("assembly", "tile_nnz", "assembly_dtype", "solver", "workers"):
+            value = getattr(self, knob)
+            if value is not None:
+                resolve(knob, value)  # raises on a bad value
         if self.factors not in FACTOR_MODES:
             raise ValueError(
                 f"factors must be one of {FACTOR_MODES}, got {self.factors!r}"
@@ -380,7 +368,7 @@ def train(
         alpha = float(config.alpha) if policy.implicit else None
         sweep_kw = dict(
             weighted=policy.weighted, solver=config.solver,
-            cholesky=config.cholesky, assembly=config.assembly,
+            assembly=config.assembly,
             tile_nnz=config.tile_nnz, compute_dtype=config.assembly_dtype,
         )
         block_d = resolve_block_size(

@@ -51,7 +51,6 @@ from repro.sparse.shards import (
     ShardStore,
     _release_pages,
     orientation_filenames,
-    resolve_shard_bytes,
 )
 
 __all__ = ["build_shard_store", "build_store_from_rating_file"]
@@ -330,7 +329,7 @@ def build_shard_store(
         "index_dtype": INDEX_DTYPE.name,
     }
     meta_path.write_text(json.dumps(meta, indent=2) + "\n")
-    return ShardStore.open(dest, resolve_shard_bytes(shard_bytes))
+    return ShardStore.open(dest, shard_bytes)
 
 
 def build_store_from_rating_file(

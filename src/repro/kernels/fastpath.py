@@ -25,20 +25,37 @@ from repro.linalg.normal_equations import (
     batched_normal_equations,
     complement_predictions,
 )
-from repro.linalg.solvers import resolve_solver, solver_fn
+from repro.knobs import resolve
+from repro.linalg.solvers import solver_fn
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import is_enabled, span
 from repro.sparse.csr import CSRMatrix
 
-__all__ = ["fast_half_sweep", "fast_iteration", "sweep_occupied"]
+__all__ = ["fast_half_sweep", "fast_iteration", "sweep_occupied", "sweep_variants"]
 
 
-def _resolve_auto(solver_name: str, k: int, batch: int) -> str:
-    if solver_name != "auto":
-        return solver_name
-    from repro.autotune.solver import select_solver
+def sweep_variants(
+    R, k: int, implicit: bool, solver: str | None, assembly: str | None
+) -> tuple[str, str]:
+    """The concrete ``(solver, assembly)`` a half-sweep of ``R`` runs.
 
-    return select_solver(k, batch)
+    Unset knobs resolve through :mod:`repro.knobs`; ``"auto"`` is
+    measured for the *whole* matrix ``R`` (``k`` solve/assembly columns,
+    one system per occupied row).  The executor calls this once per
+    half-sweep, before it shards ``R``, so every shard — whatever the
+    worker count or shard layout — runs the same variants.
+    """
+    solver = resolve("solver", solver)
+    assembly = resolve("assembly", assembly)
+    if solver == "auto":
+        from repro.autotune.solver import select_solver
+
+        solver = select_solver(k, max(1, np.count_nonzero(R.row_lengths())))
+    if assembly == "auto":
+        from repro.autotune.assembly import select_assembly
+
+        assembly = select_assembly(R, k, weighted=implicit)
+    return solver, assembly
 
 
 def sweep_occupied(
@@ -47,7 +64,6 @@ def sweep_occupied(
     lam: float,
     weighted: bool = False,
     solver: str | None = None,
-    cholesky: bool = True,
     assembly: str | None = None,
     tile_nnz: int | None = None,
     compute_dtype: object | None = None,
@@ -110,6 +126,9 @@ def sweep_occupied(
     rows, sub = R.occupied_submatrix()
     if rows.size == 0:
         return rows, np.zeros((0, d), dtype=np.float64), np.zeros(0)
+    solver, assembly = sweep_variants(
+        R, d, implicit_alpha is not None, solver, assembly
+    )
     # At full width Y[:, 0:k] is a plain view and every complement term
     # below is skipped, so the blocked path degenerates to the historical
     # sweep operation-for-operation (bitwise d == k reduction).
@@ -177,11 +196,10 @@ def sweep_occupied(
         if blocked:
             obs_metrics.inc("subspace.block_updates")
             obs_metrics.set_gauge("subspace.block_size", d)
-    solver_name = _resolve_auto(resolve_solver(solver, cholesky), d, rows.size)
     s3_name = "als.implicit.s3" if implicit_alpha is not None else "als.s3.solve"
-    with span(s3_name, stage="S3", solver=solver_name, k=d, batch=rows.size):
-        obs_metrics.inc(f"solver.{solver_name}.calls")
-        X_rows = solver_fn(solver_name)(A, b)
+    with span(s3_name, stage="S3", solver=solver, k=d, batch=rows.size):
+        obs_metrics.inc(f"solver.{solver}.calls")
+        X_rows = solver_fn(solver)(A, b)
     return rows, X_rows, np.einsum("ij,ij->i", X_rows, b)
 
 
@@ -190,7 +208,6 @@ def fast_half_sweep(
     Y: np.ndarray,
     lam: float,
     X_prev: np.ndarray | None = None,
-    cholesky: bool = True,
     solver: str | None = None,
     assembly: str | None = None,
     tile_nnz: int | None = None,
@@ -203,11 +220,9 @@ def fast_half_sweep(
     (``X_prev``), or zero when no previous factors are given.
 
     ``solver`` selects the S3 variant (``cholesky``/``gaussian``/
-    ``lapack``/``auto``); when it is unset, the legacy ``cholesky``
-    boolean picks ``lapack`` (true) or ``gaussian`` (false).
-    ``assembly``/``tile_nnz``/``compute_dtype`` select the S1/S2 code
-    variant (see :func:`batched_normal_equations`); ``None`` defers to
-    the configured/environment defaults.
+    ``lapack``/``auto``) and ``assembly``/``tile_nnz``/``compute_dtype``
+    the S1/S2 code variant (see :func:`batched_normal_equations`);
+    ``None`` defers to the configured/environment defaults.
 
     A :class:`~repro.sparse.shards.ShardedCSR` ``R`` runs the blocked
     out-of-core sweep (one resident row-range shard at a time) through a
@@ -222,8 +237,8 @@ def fast_half_sweep(
 
         with SweepExecutor(1) as ex:
             return ex.half_sweep(
-                R, Y, lam, X_prev=X_prev, solver=solver, cholesky=cholesky,
-                assembly=assembly, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
+                R, Y, lam, X_prev=X_prev, solver=solver, assembly=assembly,
+                tile_nnz=tile_nnz, compute_dtype=compute_dtype,
             )
     m = R.nrows
     k = Y.shape[1]
@@ -233,8 +248,8 @@ def fast_half_sweep(
             raise ValueError(f"X_prev must have shape {(m, k)}")
         X[:] = X_prev
     rows, X_rows, _ = sweep_occupied(
-        R, Y, lam, solver=solver, cholesky=cholesky,
-        assembly=assembly, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
+        R, Y, lam, solver=solver, assembly=assembly, tile_nnz=tile_nnz,
+        compute_dtype=compute_dtype,
     )
     X[rows] = X_rows
     return X
@@ -246,7 +261,6 @@ def fast_iteration(
     X: np.ndarray,
     Y: np.ndarray,
     lam: float,
-    cholesky: bool = True,
     solver: str | None = None,
     assembly: str | None = None,
     tile_nnz: int | None = None,
@@ -258,11 +272,11 @@ def fast_iteration(
     view the paper uses for the Y update (§III-A).
     """
     X_new = fast_half_sweep(
-        R_rows, Y, lam, X_prev=X, cholesky=cholesky, solver=solver,
-        assembly=assembly, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
+        R_rows, Y, lam, X_prev=X, solver=solver, assembly=assembly,
+        tile_nnz=tile_nnz, compute_dtype=compute_dtype,
     )
     Y_new = fast_half_sweep(
-        R_cols, X_new, lam, X_prev=Y, cholesky=cholesky, solver=solver,
-        assembly=assembly, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
+        R_cols, X_new, lam, X_prev=Y, solver=solver, assembly=assembly,
+        tile_nnz=tile_nnz, compute_dtype=compute_dtype,
     )
     return X_new, Y_new

@@ -24,17 +24,14 @@ from repro.linalg.solvers import (
     SOLVERS,
     batched_lapack_solve,
     lapack_cholesky_factor,
-    configure_solver,
     resolve_solver,
     solver_fn,
 )
 from repro.linalg.normal_equations import (
     assemble_gram,
     assemble_rhs,
-    assembly_defaults,
     batched_normal_equations,
     binned_normal_equations,
-    configure_assembly,
     scatter_normal_equations,
     tile_bytes_bound,
 )
@@ -46,7 +43,6 @@ __all__ = [
     "SOLVERS",
     "batched_lapack_solve",
     "lapack_cholesky_factor",
-    "configure_solver",
     "resolve_solver",
     "solver_fn",
     "cholesky_factor",
@@ -59,10 +55,8 @@ __all__ = [
     "batched_gaussian_solve",
     "assemble_gram",
     "assemble_rhs",
-    "assembly_defaults",
     "batched_normal_equations",
     "binned_normal_equations",
-    "configure_assembly",
     "scatter_normal_equations",
     "tile_bytes_bound",
 ]

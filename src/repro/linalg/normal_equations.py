@@ -30,9 +30,11 @@ variants:
   mirrors the paper's single-precision kernels (§IV); accumulation into
   the returned ``A``/``b`` stays float64.
 
-``batched_normal_equations`` dispatches between them (explicit argument >
-:func:`configure_assembly` > ``REPRO_ASSEMBLY``-style env vars >
-built-ins); ``mode="auto"`` defers to the empirical selector in
+``batched_normal_equations`` dispatches between them through the
+``assembly``, ``tile_nnz`` and ``assembly_dtype`` knobs
+(:mod:`repro.knobs`: argument > ``repro.configure`` > ``REPRO_ASSEMBLY``,
+``REPRO_TILE_NNZ``, ``REPRO_ASSEMBLY_DTYPE`` > built-ins);
+``mode="auto"`` defers to the empirical selector in
 :mod:`repro.autotune.assembly`, the same measure-then-pick loop the paper
 uses to choose code variants.
 
@@ -58,10 +60,9 @@ x_u·b_u − λ‖x_u‖²`` (see :mod:`repro.core.loss`).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from repro.knobs import ASSEMBLY_MODES, DEFAULT_TILE_NNZ, resolve
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import is_enabled, span
 from repro.sparse.csr import CSRMatrix
@@ -74,38 +75,16 @@ __all__ = [
     "scatter_normal_equations",
     "complement_predictions",
     "GramCache",
-    "configure_assembly",
-    "assembly_defaults",
     "tile_bytes_bound",
     "DEFAULT_TILE_NNZ",
     "DEFAULT_BIN_GROWTH",
     "ASSEMBLY_MODES",
 ]
 
-#: Default cap on non-zeros gathered per tile (~256 MB of float64 scratch
-#: at k = 64; proportionally less for smaller k or float32 compute).
-DEFAULT_TILE_NNZ = 1 << 19
-
 #: Default degree-bin growth factor: rows whose degrees differ by less
 #: than 25% share a (padded) bin, bounding both padding waste and the
 #: number of bins (geometric in the max degree).
 DEFAULT_BIN_GROWTH = 1.25
-
-ASSEMBLY_MODES = ("binned", "scatter", "auto")
-
-_ENV_MODE = "REPRO_ASSEMBLY"
-_ENV_TILE = "REPRO_TILE_NNZ"
-_ENV_DTYPE = "REPRO_ASSEMBLY_DTYPE"
-
-_COMPUTE_DTYPES = {"float32": np.float32, "float64": np.float64}
-
-# Process-wide defaults installed by configure_assembly (CLI flags land
-# here).  ``None`` falls through to the environment, then the built-ins.
-_CONFIGURED: dict[str, object | None] = {
-    "mode": None,
-    "tile_nnz": None,
-    "compute_dtype": None,
-}
 
 # Cached per-k diagonal index — hoists the per-call ``lam * np.eye(k)``
 # allocation: the ridge becomes an in-place diagonal add.
@@ -129,97 +108,6 @@ def _as_float(Y: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=dtype)
 
 
-def _validate_mode(mode: str) -> str:
-    if mode not in ASSEMBLY_MODES:
-        raise ValueError(f"assembly mode must be one of {ASSEMBLY_MODES}, got {mode!r}")
-    return mode
-
-
-def _validate_tile(tile_nnz: int) -> int:
-    tile_nnz = int(tile_nnz)
-    if tile_nnz < 1:
-        raise ValueError("tile_nnz must be >= 1")
-    return tile_nnz
-
-
-def _validate_dtype(compute_dtype: object) -> np.dtype:
-    if isinstance(compute_dtype, str):
-        try:
-            return np.dtype(_COMPUTE_DTYPES[compute_dtype])
-        except KeyError:
-            raise ValueError(
-                f"compute dtype must be one of {tuple(_COMPUTE_DTYPES)}, "
-                f"got {compute_dtype!r}"
-            ) from None
-    dt = np.dtype(compute_dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"compute dtype must be float32 or float64, got {dt}")
-    return dt
-
-
-def configure_assembly(
-    mode: str | None = None,
-    tile_nnz: int | None = None,
-    compute_dtype: object | None = None,
-) -> None:
-    """Install process-wide assembly defaults (the CLI flags land here).
-
-    Every call sets all three knobs; ``None`` resets a knob to "fall back
-    to the environment / built-in default", so ``configure_assembly()``
-    restores the out-of-the-box behavior.
-    """
-    _CONFIGURED["mode"] = None if mode is None else _validate_mode(mode)
-    _CONFIGURED["tile_nnz"] = None if tile_nnz is None else _validate_tile(tile_nnz)
-    _CONFIGURED["compute_dtype"] = (
-        None if compute_dtype is None else _validate_dtype(compute_dtype)
-    )
-
-
-def _resolve_mode(mode: str | None) -> str:
-    if mode is not None:
-        return _validate_mode(mode)
-    if _CONFIGURED["mode"] is not None:
-        return _CONFIGURED["mode"]  # type: ignore[return-value]
-    env = os.environ.get(_ENV_MODE)
-    if env:
-        return _validate_mode(env)
-    return "binned"
-
-
-def _resolve_tile(tile_nnz: int | None) -> int:
-    if tile_nnz is not None:
-        return _validate_tile(tile_nnz)
-    if _CONFIGURED["tile_nnz"] is not None:
-        return _CONFIGURED["tile_nnz"]  # type: ignore[return-value]
-    env = os.environ.get(_ENV_TILE)
-    if env:
-        try:
-            return _validate_tile(int(env))
-        except ValueError as exc:
-            raise ValueError(f"{_ENV_TILE}={env!r}: {exc}") from None
-    return DEFAULT_TILE_NNZ
-
-
-def _resolve_dtype(compute_dtype: object | None) -> np.dtype:
-    if compute_dtype is not None:
-        return _validate_dtype(compute_dtype)
-    if _CONFIGURED["compute_dtype"] is not None:
-        return _CONFIGURED["compute_dtype"]  # type: ignore[return-value]
-    env = os.environ.get(_ENV_DTYPE)
-    if env:
-        return _validate_dtype(env)
-    return np.dtype(np.float64)
-
-
-def assembly_defaults() -> dict[str, object]:
-    """The currently resolved (mode, tile_nnz, compute_dtype) defaults."""
-    return {
-        "mode": _resolve_mode(None),
-        "tile_nnz": _resolve_tile(None),
-        "compute_dtype": _resolve_dtype(None).name,
-    }
-
-
 def tile_bytes_bound(
     tile_nnz: int,
     k: int,
@@ -240,8 +128,8 @@ def tile_bytes_bound(
     assert the measured ``assembly.peak_tile_bytes`` gauge against this
     formula.
     """
-    tile_nnz = _validate_tile(tile_nnz)
-    cs = _validate_dtype(compute_dtype).itemsize
+    tile_nnz = resolve("tile_nnz", tile_nnz)
+    cs = resolve("assembly_dtype", compute_dtype).itemsize
     gather = tile_nnz * k * cs  # G
     gemm_out = tile_nnz * k * cs  # (rows, k, k) with rows <= tile_nnz / k
     indices = tile_nnz * 16  # position + column gather, int64 each
@@ -375,8 +263,8 @@ def binned_normal_equations(
     gathered block ``G`` as one batched matvec, where ``v`` holds the
     tile's values (or ``rhs_nnz_value``) with the padding masked out.
     """
-    tile = _resolve_tile(tile_nnz)
-    cdtype = _resolve_dtype(compute_dtype)
+    tile = resolve("tile_nnz", tile_nnz)
+    cdtype = resolve("assembly_dtype", compute_dtype)
     growth = DEFAULT_BIN_GROWTH if growth is None else float(growth)
     Yc = _as_float(Y, cdtype)
     _check_shapes(R, Yc)
@@ -512,13 +400,13 @@ def batched_normal_equations(
     Algorithm 2's ``omegaSize > 0`` guard.
 
     ``mode`` picks the code variant (``binned``/``scatter``/``auto``);
-    unset knobs fall back to :func:`configure_assembly`, then the
+    unset knobs fall back to ``repro.configure``, then the
     ``REPRO_ASSEMBLY``/``REPRO_TILE_NNZ``/``REPRO_ASSEMBLY_DTYPE``
     environment, then the built-in defaults.  ``nnz_weight`` /
     ``rhs_nnz_value`` select the confidence-weighted (implicit) kernel;
     the ``auto`` selector measures the weighted variants in that case.
     """
-    resolved = _resolve_mode(mode)
+    resolved = resolve("assembly", mode)
     if resolved == "auto":
         from repro.autotune.assembly import select_assembly
 
@@ -573,7 +461,7 @@ def complement_predictions(
         return out
     Xc = _as_float(X_rows, np.float64)
     Yc = _as_float(Y, np.float64)
-    tile = _resolve_tile(tile_nnz)
+    tile = resolve("tile_nnz", tile_nnz)
     chunk = max(1, tile // width)
     rows_e = R.expanded_rows()
     cols_e = R.col_idx

@@ -25,19 +25,18 @@ latter.  This module is where those code variants live on the host side:
   :mod:`repro.autotune.solver`, the §III-D measure-then-pick loop
   applied to S3.
 
-``resolve_solver`` implements the usual precedence: explicit argument >
-:func:`configure_solver` (CLI) > ``REPRO_SOLVER`` environment > the
-legacy ``cholesky`` boolean of the sweep API, which picks ``lapack``
-(true) or ``gaussian`` (false).  ``cholesky`` names only the reference.
+``resolve_solver`` reads the ``solver`` knob (:mod:`repro.knobs`:
+argument > ``repro.configure`` > ``REPRO_SOLVER`` > ``lapack``).
+``cholesky`` names only the reference.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable
 
 import numpy as np
 
+from repro.knobs import SOLVER_MODES, resolve
 from repro.linalg.cholesky import CholeskyError, as_float64_stack
 from repro.linalg.gaussian import batched_gaussian_solve
 from repro.obs import metrics as obs_metrics
@@ -48,49 +47,14 @@ __all__ = [
     "SOLVERS",
     "batched_lapack_solve",
     "lapack_cholesky_factor",
-    "configure_solver",
     "resolve_solver",
     "solver_fn",
 ]
 
-_ENV_SOLVER = "REPRO_SOLVER"
 
-#: Names accepted by ``TrainConfig.solver`` / ``--solver`` / ``REPRO_SOLVER``.
-SOLVER_MODES = ("cholesky", "gaussian", "lapack", "auto")
-
-# Process-wide default installed by configure_solver (the CLI flag lands
-# here); ``None`` falls through to the environment, then the legacy bool.
-_CONFIGURED: dict[str, str | None] = {"solver": None}
-
-
-def _validate_solver(name: str) -> str:
-    if name not in SOLVER_MODES:
-        raise ValueError(f"solver must be one of {SOLVER_MODES}, got {name!r}")
-    return name
-
-
-def configure_solver(solver: str | None = None) -> None:
-    """Install a process-wide S3 solver default (``None`` resets it)."""
-    _CONFIGURED["solver"] = None if solver is None else _validate_solver(solver)
-
-
-def resolve_solver(solver: str | None = None, cholesky: bool = True) -> str:
-    """The effective solver name for a sweep call.
-
-    Precedence: explicit ``solver`` > :func:`configure_solver` >
-    ``REPRO_SOLVER`` > the legacy ``cholesky`` boolean: true (the
-    default) picks the LAPACK Cholesky ``"lapack"``, false the Gaussian
-    elimination ``"gaussian"``.  The from-scratch reference
-    ``"cholesky"`` is only ever chosen by name.
-    """
-    if solver is not None:
-        return _validate_solver(solver)
-    if _CONFIGURED["solver"] is not None:
-        return _CONFIGURED["solver"]
-    env = os.environ.get(_ENV_SOLVER)
-    if env:
-        return _validate_solver(env)
-    return "lapack" if cholesky else "gaussian"
+def resolve_solver(solver: str | None = None) -> str:
+    """The effective S3 solver name (the ``solver`` knob)."""
+    return resolve("solver", solver)
 
 
 def lapack_cholesky_factor(a: np.ndarray) -> np.ndarray:

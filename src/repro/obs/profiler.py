@@ -66,7 +66,7 @@ class ProfileReport:
         export.write_metrics(path, self.metrics, self.records, meta=self._meta())
 
     def _meta(self) -> dict:
-        from repro.linalg.normal_equations import assembly_defaults
+        from repro.knobs import resolve
         from repro.linalg.solvers import resolve_solver
         from repro.parallel.executor import resolve_workers
 
@@ -77,8 +77,8 @@ class ProfileReport:
             "k": self.config.k,
             "lam": self.config.lam,
             "iterations": self.config.iterations,
-            "assembly": self.config.assembly or assembly_defaults()["mode"],
-            "solver": resolve_solver(self.config.solver, self.config.cholesky),
+            "assembly": resolve("assembly", self.config.assembly),
+            "solver": resolve_solver(self.config.solver),
             "workers": resolve_workers(self.config.workers),
         }
         if self.algorithm == "implicit":
@@ -215,15 +215,15 @@ def render_report(report: ProfileReport, top: int = 10) -> str:
             line += f"  cpu time: {cpu:.2f} s"
         lines.append("")
         lines.append(line)
-    from repro.autotune.solver import cached_solver_decisions
+    from repro.autotune.choice import decisions, label
 
-    decisions = cached_solver_decisions()
-    if decisions:
+    verdicts = decisions()
+    if verdicts:
         lines.append("")
-        lines.append("solver autotune (cached S3 verdicts):")
+        lines.append("autotune (cached measured verdicts):")
         lines.extend(
-            f"  k={d.k:<4d} batch<={d.batch_bucket:<8d} -> {d.solver} "
+            f"  {d.kind:8s} {d.key} -> {label(d.choice)} "
             f"({d.speedup:.2f}x over the slowest)"
-            for d in decisions
+            for d in verdicts
         )
     return "\n".join(lines)

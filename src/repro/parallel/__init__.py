@@ -7,16 +7,6 @@ driven by a thread pool, with BLAS/LAPACK releasing the GIL inside each
 shard's batched GEMMs and factorizations.
 """
 
-from repro.parallel.executor import (
-    SweepExecutor,
-    configure_workers,
-    resolve_workers,
-    WORKERS_ENV,
-)
+from repro.parallel.executor import SweepExecutor, resolve_workers
 
-__all__ = [
-    "SweepExecutor",
-    "configure_workers",
-    "resolve_workers",
-    "WORKERS_ENV",
-]
+__all__ = ["SweepExecutor", "resolve_workers"]

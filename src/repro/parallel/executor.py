@@ -13,20 +13,20 @@ scatters the per-shard factors into the output. Shard results depend
 only on each row's own non-zeros, so the parallel sweep is bit-identical
 to the serial one (asserted by tests/parallel/).
 
-Worker-count resolution mirrors the assembly knobs: explicit argument >
-:func:`configure_workers` (CLI) > ``REPRO_WORKERS`` environment > serial.
-``"auto"`` means one worker per available core.
+The worker count is the ``workers`` knob (:mod:`repro.knobs`: argument >
+``repro.configure`` > ``REPRO_WORKERS`` > serial); ``"auto"`` means one
+worker per core this process may use.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
 import numpy as np
 
-from repro.kernels.fastpath import sweep_occupied
+from repro.kernels.fastpath import sweep_occupied, sweep_variants
+from repro.knobs import resolve
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import is_enabled, span
 from repro.sparse.csr import CSRMatrix, RowShard
@@ -34,10 +34,8 @@ from repro.sparse.shards import ShardedCSR
 
 __all__ = [
     "SweepExecutor",
-    "configure_workers",
     "resolve_workers",
     "solve_bytes_per_row",
-    "WORKERS_ENV",
 ]
 
 
@@ -54,52 +52,10 @@ def solve_bytes_per_row(k: int) -> int:
     """
     return 8 * (k * k + 2 * k)
 
-WORKERS_ENV = "REPRO_WORKERS"
-
-# Process-wide default installed by configure_workers (the CLI flag
-# lands here); ``None`` falls through to the environment, then serial.
-_CONFIGURED: dict[str, int | None] = {"workers": None}
-
-
-def _parse_workers(value: int | str) -> int:
-    """Normalize a workers spec (``"auto"``, ``"4"``, ``4``) to a count."""
-    if isinstance(value, str):
-        if value.strip().lower() == "auto":
-            return max(1, os.cpu_count() or 1)
-        try:
-            value = int(value)
-        except ValueError:
-            raise ValueError(
-                f"workers must be 'auto' or a positive integer, got {value!r}"
-            ) from None
-    workers = int(value)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
-
-
-def configure_workers(workers: int | str | None = None) -> None:
-    """Install a process-wide worker-count default (``None`` resets it)."""
-    _CONFIGURED["workers"] = None if workers is None else _parse_workers(workers)
-
 
 def resolve_workers(workers: int | str | None = None) -> int:
-    """The effective worker count for a sweep.
-
-    Precedence: explicit ``workers`` > :func:`configure_workers` >
-    ``REPRO_WORKERS`` > 1 (serial — the seed behavior).
-    """
-    if workers is not None:
-        return _parse_workers(workers)
-    if _CONFIGURED["workers"] is not None:
-        return _CONFIGURED["workers"]
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return _parse_workers(env)
-        except ValueError as exc:
-            raise ValueError(f"{WORKERS_ENV}={env!r}: {exc}") from None
-    return 1
+    """The effective sweep worker count (the ``workers`` knob)."""
+    return resolve("workers", workers)
 
 
 class SweepExecutor:
@@ -161,7 +117,6 @@ class SweepExecutor:
         X_prev: np.ndarray | None = None,
         weighted: bool = False,
         solver: str | None = None,
-        cholesky: bool = True,
         assembly: str | None = None,
         tile_nnz: int | None = None,
         compute_dtype: object | None = None,
@@ -207,6 +162,9 @@ class SweepExecutor:
         the block) and the parallel block update stays bitwise-identical
         to the serial one.
 
+        ``solver``/``assembly`` ``"auto"`` is measured once per call, on
+        the whole of ``R``, so every shard runs the same variants.
+
         ``xb_out``, an ``(m,)`` float64 array, receives each solved row's
         ``x·b`` (zero for rows without ratings), scattered by row index —
         so a sum over it in row order is the same for every worker count
@@ -223,9 +181,13 @@ class SweepExecutor:
                     f"col_block [{start}, {stop}) out of range for k={k}"
                 )
             col_block = (start, stop)
+        solver, assembly = sweep_variants(
+            R, k if col_block is None else col_block[1] - col_block[0],
+            implicit_alpha is not None, solver, assembly,
+        )
         kernel_kw = dict(
-            weighted=weighted, solver=solver, cholesky=cholesky,
-            assembly=assembly, tile_nnz=tile_nnz, compute_dtype=compute_dtype,
+            weighted=weighted, solver=solver, assembly=assembly,
+            tile_nnz=tile_nnz, compute_dtype=compute_dtype,
             implicit_alpha=implicit_alpha, base_gram=base_gram,
             col_block=col_block,
         )

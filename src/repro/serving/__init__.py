@@ -16,11 +16,8 @@ from repro.serving.engine import (
     DEFAULT_TILE_BYTES,
     DEFAULT_USER_BLOCK,
     PAD_ITEM,
-    SERVE_DTYPES,
     TopNEngine,
     TopNResult,
-    configure_serving,
-    serving_defaults,
     topn_from_scores,
 )
 from repro.serving.foldin import (
@@ -41,12 +38,9 @@ __all__ = [
     "DEFAULT_TILE_BYTES",
     "DEFAULT_USER_BLOCK",
     "PAD_ITEM",
-    "SERVE_DTYPES",
     "TopNEngine",
     "TopNResult",
     "topn_from_scores",
-    "configure_serving",
-    "serving_defaults",
     "FOLDIN_ALGORITHMS",
     "as_new_rows_csr",
     "fold_in_factors",

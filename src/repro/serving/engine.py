@@ -29,20 +29,21 @@ query path:
   effective memory bandwidth, the paper's single-precision kernels) or
   float64 (bit-compatible with the training factors).
 
-Knob resolution mirrors the assembly/solver subsystems: explicit
-argument > :func:`configure_serving` (CLI) > ``REPRO_SERVE_*``
-environment > built-in defaults; ``"auto"`` defers to the empirical
-selector in :mod:`repro.autotune.serving`.
+The tile budget and precision are the ``serve_tile_bytes`` and
+``serve_dtype`` knobs (:mod:`repro.knobs`: argument > ``repro.configure``
+> ``REPRO_SERVE_TILE_BYTES``/``REPRO_SERVE_DTYPE`` > 8 MB, float64);
+``"auto"`` defers to the empirical selector in
+:mod:`repro.autotune.serving`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 
+from repro.knobs import DEFAULT_TILE_BYTES, resolve
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import is_enabled, span
 from repro.sparse.csr import CSRMatrix
@@ -51,108 +52,17 @@ __all__ = [
     "PAD_ITEM",
     "DEFAULT_TILE_BYTES",
     "DEFAULT_USER_BLOCK",
-    "SERVE_DTYPES",
     "TopNResult",
     "TopNEngine",
     "topn_from_scores",
-    "configure_serving",
-    "serving_defaults",
 ]
 
 #: Item id used to pad result rows when a user has fewer than N
 #: recommendable items.  Padded slots carry a score of ``-inf``.
 PAD_ITEM = -1
 
-#: Default score-buffer budget per user block (bytes).  8 MB holds a
-#: 1024-user x 1024-item float64 tile — L2/L3-resident on current CPUs,
-#: versus the ~180 MB dense matrix a full ML-1M batch used to build.
-DEFAULT_TILE_BYTES = 8 << 20
-
 #: Default number of users scored per block.
 DEFAULT_USER_BLOCK = 1024
-
-SERVE_DTYPES = {"float32": np.float32, "float64": np.float64}
-
-_ENV_TILE = "REPRO_SERVE_TILE_BYTES"
-_ENV_DTYPE = "REPRO_SERVE_DTYPE"
-_ENV_BLOCK = "REPRO_SERVE_USER_BLOCK"
-
-# Process-wide defaults installed by configure_serving (CLI flags land
-# here).  ``None`` falls through to the environment, then the built-ins.
-_CONFIGURED: dict[str, object | None] = {
-    "tile_bytes": None,
-    "dtype": None,
-    "user_block": None,
-}
-
-
-def _validate_tile_bytes(tile_bytes: object) -> object:
-    if tile_bytes == "auto":
-        return "auto"
-    tile_bytes = int(tile_bytes)
-    if tile_bytes < 1:
-        raise ValueError("tile_bytes must be >= 1")
-    return tile_bytes
-
-
-def _validate_dtype(dtype: object) -> object:
-    if dtype == "auto":
-        return "auto"
-    if isinstance(dtype, str):
-        if dtype not in SERVE_DTYPES:
-            raise ValueError(
-                f"serving dtype must be one of {tuple(SERVE_DTYPES)} or 'auto', "
-                f"got {dtype!r}"
-            )
-        return dtype
-    dt = np.dtype(dtype)
-    for name, np_dtype in SERVE_DTYPES.items():
-        if dt == np_dtype:
-            return name
-    raise ValueError(f"serving dtype must be float32 or float64, got {dt}")
-
-
-def _validate_block(user_block: object) -> int:
-    user_block = int(user_block)
-    if user_block < 1:
-        raise ValueError("user_block must be >= 1")
-    return user_block
-
-
-def configure_serving(
-    tile_bytes: int | str | None = None,
-    dtype: object | None = None,
-    user_block: int | None = None,
-) -> None:
-    """Install process-wide serving defaults (``None`` resets a knob)."""
-    _CONFIGURED["tile_bytes"] = (
-        None if tile_bytes is None else _validate_tile_bytes(tile_bytes)
-    )
-    _CONFIGURED["dtype"] = None if dtype is None else _validate_dtype(dtype)
-    _CONFIGURED["user_block"] = (
-        None if user_block is None else _validate_block(user_block)
-    )
-
-
-def serving_defaults() -> tuple[object, object, int]:
-    """Effective ``(tile_bytes, dtype, user_block)`` before autotuning.
-
-    Either of the first two may be the string ``"auto"``, meaning the
-    engine will consult :func:`repro.autotune.serving.select_serving`.
-    """
-    tile_bytes: object = _CONFIGURED["tile_bytes"]
-    if tile_bytes is None:
-        env = os.environ.get(_ENV_TILE)
-        tile_bytes = _validate_tile_bytes(env) if env else DEFAULT_TILE_BYTES
-    dtype: object = _CONFIGURED["dtype"]
-    if dtype is None:
-        env = os.environ.get(_ENV_DTYPE)
-        dtype = _validate_dtype(env) if env else "float64"
-    user_block = _CONFIGURED["user_block"]
-    if user_block is None:
-        env = os.environ.get(_ENV_BLOCK)
-        user_block = _validate_block(env) if env else DEFAULT_USER_BLOCK
-    return tile_bytes, dtype, int(user_block)
 
 
 @dataclass(frozen=True)
@@ -259,23 +169,22 @@ class TopNEngine:
         Y = np.asarray(Y)
         if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
             raise ValueError("X (m, k) and Y (n, k) must share a factor dim")
-        cfg_tile, cfg_dtype, cfg_block = serving_defaults()
-        tile_bytes = cfg_tile if tile_bytes is None else _validate_tile_bytes(tile_bytes)
-        dtype = cfg_dtype if dtype is None else _validate_dtype(dtype)
-        if tile_bytes == "auto" or dtype == "auto":
+        tile_bytes = resolve("serve_tile_bytes", tile_bytes)
+        dtype = resolve("serve_dtype", dtype)  # a NumPy dtype, or "auto"
+        if tile_bytes == "auto" or isinstance(dtype, str):
             from repro.autotune.serving import select_serving
 
-            decision = select_serving(Y.shape[0], Y.shape[1])
+            auto_tile, auto_dtype = select_serving(Y.shape[0], Y.shape[1])
             if tile_bytes == "auto":
-                tile_bytes = decision.tile_bytes
-            if dtype == "auto":
-                dtype = decision.dtype
+                tile_bytes = auto_tile
+            if isinstance(dtype, str):
+                dtype = auto_dtype
         self.tile_bytes = int(tile_bytes)
-        self.dtype_name = str(dtype)
-        self.dtype = SERVE_DTYPES[self.dtype_name]
-        self.user_block = _validate_block(
-            cfg_block if user_block is None else user_block
-        )
+        self.dtype_name = np.dtype(dtype).name
+        self.dtype = np.dtype(dtype).type
+        self.user_block = DEFAULT_USER_BLOCK if user_block is None else int(user_block)
+        if self.user_block < 1:
+            raise ValueError("user_block must be >= 1")
         self._X = np.ascontiguousarray(X, dtype=self.dtype)
         self._Y = np.ascontiguousarray(Y, dtype=self.dtype)
         from repro.parallel import resolve_workers
@@ -742,8 +651,9 @@ def topn_from_scores(
         raise ValueError("n must be positive")
     n = min(int(n), S.shape[1])
     if tile_bytes is None:
-        cfg_tile, _, _ = serving_defaults()
-        tile_bytes = DEFAULT_TILE_BYTES if cfg_tile == "auto" else int(cfg_tile)
+        tile_bytes = resolve("serve_tile_bytes")
+        if tile_bytes == "auto":
+            tile_bytes = DEFAULT_TILE_BYTES
     if exclude is not None:
         if users is None:
             raise ValueError("users required to exclude seen items")

@@ -24,9 +24,7 @@ from repro.sparse.shards import (
     ShardSpan,
     ShardStore,
     ShardedCSR,
-    configure_sharding,
     is_shard_store,
-    resolve_shard_bytes,
 )
 
 __all__ = [
@@ -45,7 +43,5 @@ __all__ = [
     "ShardSpan",
     "ShardStore",
     "ShardedCSR",
-    "configure_sharding",
     "is_shard_store",
-    "resolve_shard_bytes",
 ]

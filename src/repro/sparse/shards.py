@@ -36,9 +36,9 @@ reproduces the full-matrix assembly bit for bit — and within the
 resident shard the :class:`~repro.parallel.executor.SweepExecutor`
 re-shards by nnz balance exactly as it does in RAM.
 
-The shard byte budget resolves with the repo-wide precedence: explicit
-argument > :func:`configure_sharding` (CLI) > ``REPRO_SHARD_BYTES`` env
-var > :data:`DEFAULT_SHARD_BYTES`.
+The shard byte budget is the ``shard_bytes`` knob (:mod:`repro.knobs`:
+argument > ``repro.configure`` > ``REPRO_SHARD_BYTES`` >
+:data:`DEFAULT_SHARD_BYTES`).
 """
 
 from __future__ import annotations
@@ -53,22 +53,21 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.knobs import DEFAULT_SHARD_BYTES, MIN_SHARD_BYTES, resolve
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import is_enabled, span
 from repro.sparse.csr import CSRMatrix, DegreeBin, build_degree_bins
 
 __all__ = [
     "DEFAULT_SHARD_BYTES",
+    "MIN_SHARD_BYTES",
     "FORMAT_VERSION",
     "META_FILENAME",
     "ShardSpan",
     "ShardedCSR",
     "ShardStore",
-    "configure_sharding",
     "is_shard_store",
     "orientation_filenames",
-    "resolve_shard_bytes",
-    "sharding_defaults",
 ]
 
 #: On-disk format version; bumped when the directory layout changes.
@@ -76,66 +75,8 @@ FORMAT_VERSION = 1
 
 META_FILENAME = "meta.json"
 
-#: Default resident-shard byte budget (CSR bytes + per-row solver
-#: scratch).  256 MB keeps one shard plus its double-buffered prefetch
-#: comfortably inside laptop-class memory while leaving shards large
-#: enough that per-shard overheads (binning, solve batching) amortize.
-DEFAULT_SHARD_BYTES = 256 << 20
-
-_ENV_SHARD_BYTES = "REPRO_SHARD_BYTES"
-
-#: Smallest budget worth honoring: below ~1 MB the per-shard Python
-#: overhead dwarfs the IO it schedules.  Spans may still exceed the
-#: budget when a single row does (a shard always holds >= 1 row).
-MIN_SHARD_BYTES = 1 << 20
-
 INDEX_DTYPE = np.dtype(np.int64)
 VALUE_DTYPES = ("float32", "float64")
-
-# Process-wide default installed by configure_sharding (the CLI's
-# --shard-bytes lands here).  None falls through to the environment,
-# then the built-in.
-_CONFIGURED: dict[str, int | None] = {"shard_bytes": None}
-
-
-def _validate_shard_bytes(shard_bytes: int) -> int:
-    shard_bytes = int(shard_bytes)
-    if shard_bytes < MIN_SHARD_BYTES:
-        raise ValueError(
-            f"shard_bytes must be >= {MIN_SHARD_BYTES} (1 MB), got {shard_bytes}"
-        )
-    return shard_bytes
-
-
-def configure_sharding(shard_bytes: int | None = None) -> None:
-    """Install the process-wide shard byte budget (CLI flag lands here).
-
-    ``None`` resets to "fall back to ``REPRO_SHARD_BYTES`` / built-in",
-    so ``configure_sharding()`` restores the out-of-the-box behavior.
-    """
-    _CONFIGURED["shard_bytes"] = (
-        None if shard_bytes is None else _validate_shard_bytes(shard_bytes)
-    )
-
-
-def resolve_shard_bytes(shard_bytes: int | None = None) -> int:
-    """Explicit arg > configure_sharding > REPRO_SHARD_BYTES > default."""
-    if shard_bytes is not None:
-        return _validate_shard_bytes(shard_bytes)
-    if _CONFIGURED["shard_bytes"] is not None:
-        return _CONFIGURED["shard_bytes"]
-    env = os.environ.get(_ENV_SHARD_BYTES)
-    if env:
-        try:
-            return _validate_shard_bytes(int(env))
-        except ValueError as exc:
-            raise ValueError(f"{_ENV_SHARD_BYTES}={env!r}: {exc}") from None
-    return DEFAULT_SHARD_BYTES
-
-
-def sharding_defaults() -> dict[str, int]:
-    """The currently resolved shard byte budget."""
-    return {"shard_bytes": resolve_shard_bytes(None)}
 
 
 def orientation_filenames(orientation: str) -> tuple[str, str, str]:
@@ -239,7 +180,7 @@ class ShardedCSR:
         self.shape = (int(shape[0]), int(shape[1]))
         self._nnz = int(nnz)
         self.value_dtype = np.dtype(value_dtype)
-        self.shard_bytes = resolve_shard_bytes(shard_bytes)
+        self.shard_bytes = resolve("shard_bytes", shard_bytes)
 
         indptr_name, indices_name, values_name = orientation_filenames(orientation)
         indptr = _open_flat(
@@ -544,7 +485,7 @@ class ShardStore:
         m, n = int(meta["m"]), int(meta["n"])
         nnz = int(meta["nnz"])
         value_dtype = meta.get("value_dtype", "float32")
-        shard_bytes = resolve_shard_bytes(shard_bytes)
+        shard_bytes = resolve("shard_bytes", shard_bytes)
         rows = ShardedCSR(
             directory, "rows", (m, n), nnz, value_dtype, shard_bytes
         )

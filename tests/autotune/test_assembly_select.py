@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from repro.autotune import assembly as asm
+from repro.autotune.choice import clear_decisions
 from repro.sparse import CSRMatrix
 
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    asm.clear_decision_cache()
+    clear_decisions()
     yield
-    asm.clear_decision_cache()
+    clear_decisions()
 
 
 def _matrix(rng, m=40, n=25, density=0.4):
@@ -29,17 +30,18 @@ class TestMeasure:
     def test_decision_is_well_formed(self, rng):
         R = _matrix(rng)
         d = asm.measure_assembly(R, k=4)
-        assert d.mode in ("binned", "scatter")
-        assert d.binned_seconds > 0 and d.scatter_seconds > 0
+        assert d.kind == "assembly"
+        assert d.choice in ("binned", "scatter")
+        assert d.seconds["binned"] > 0 and d.seconds["scatter"] > 0
         assert d.speedup >= 1.0
-        assert d.sample_rows == R.nrows  # small matrix: no subsampling
-        assert d.sample_nnz == R.nnz
+        assert d.detail["sample_rows"] == R.nrows  # small matrix: no subsampling
+        assert d.detail["sample_nnz"] == R.nnz
 
     def test_sample_is_bounded(self, rng):
         R = _matrix(rng, m=200, n=30, density=0.5)
         d = asm.measure_assembly(R, k=4, sample_nnz=100)
-        assert d.sample_nnz <= 100 + 30  # one row may overshoot the cut
-        assert d.sample_rows < R.nrows
+        assert d.detail["sample_nnz"] <= 100 + 30  # one row may overshoot the cut
+        assert d.detail["sample_rows"] < R.nrows
 
     def test_invalid_args_rejected(self, rng):
         R = _matrix(rng)
@@ -70,7 +72,7 @@ class TestSelect:
     def test_clear_cache_forces_remeasure(self, rng, monkeypatch):
         R = _matrix(rng)
         asm.select_assembly(R, k=4)
-        asm.clear_decision_cache()
+        clear_decisions()
         calls = {"n": 0}
         real = asm.measure_assembly
 

@@ -7,21 +7,19 @@ import math
 import pytest
 
 from repro.autotune.blocks import (
-    BlockDecision,
-    _nnz_bucket,
+    _key,
     block_candidates,
-    cached_block_decisions,
-    clear_block_cache,
     measure_blocks,
     select_block_size,
 )
+from repro.autotune.choice import Decision, clear_decisions, decisions
 
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    clear_block_cache()
+    clear_decisions()
     yield
-    clear_block_cache()
+    clear_decisions()
 
 
 class TestCandidates:
@@ -38,10 +36,13 @@ class TestCandidates:
         assert block_candidates(4) == (4,)
 
     def test_bucket_rounds_up_to_powers_of_two(self):
-        assert _nnz_bucket(3) == 4
-        assert _nnz_bucket(64) == 64
-        assert _nnz_bucket(65) == 128
-        assert _nnz_bucket(10**6) == 1024  # capped
+        def nnz_bucket(per_row):
+            return _key(8, per_row, "float64")[1]
+
+        assert nnz_bucket(3) == 4
+        assert nnz_bucket(64) == 64
+        assert nnz_bucket(65) == 128
+        assert nnz_bucket(10**6) == 1024  # capped
 
 
 class TestMeasure:
@@ -49,14 +50,16 @@ class TestMeasure:
         decision = measure_blocks(
             8, 8, iterations=2, probe_rows=96, seed=1
         )
-        assert isinstance(decision, BlockDecision)
-        assert set(decision.seconds_to_target) == set(block_candidates(8))
-        assert decision.block_size in decision.seconds_to_target
+        assert isinstance(decision, Decision)
+        assert decision.kind == "blocks"
+        assert set(decision.seconds) == set(block_candidates(8))
+        assert decision.choice in decision.seconds
 
     def test_winner_reached_the_shared_target(self):
         decision = measure_blocks(8, 8, iterations=2, probe_rows=96, seed=1)
-        assert math.isfinite(decision.seconds_to_target[decision.block_size])
-        assert decision.speedup > 0
+        assert math.isfinite(decision.seconds[decision.choice])
+        assert decision.detail["target_loss"] > 0
+        assert decision.speedup >= 1.0
 
 
 class TestSelect:
@@ -64,14 +67,14 @@ class TestSelect:
         first = select_block_size(8, nnz_per_row=8)
         again = select_block_size(8, nnz_per_row=8)
         assert first == again
-        assert len(cached_block_decisions()) == 1
+        assert len(decisions("blocks")) == 1
 
     def test_clear_empties_cache(self):
         select_block_size(8, nnz_per_row=8)
-        clear_block_cache()
-        assert cached_block_decisions() == ()
+        clear_decisions()
+        assert decisions() == ()
 
     def test_nearby_shapes_share_a_bucket(self):
         select_block_size(8, nnz_per_row=60)
         select_block_size(8, nnz_per_row=64)
-        assert len(cached_block_decisions()) == 1
+        assert len(decisions("blocks")) == 1

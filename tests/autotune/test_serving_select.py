@@ -7,19 +7,21 @@ import pytest
 
 import repro.autotune.serving as serving_auto
 from repro.autotune import (
-    ServingDecision,
-    clear_serving_cache,
-    cached_serving_decisions,
+    Decision,
+    bucket,
+    clear_decisions,
+    decisions,
     measure_serving,
     select_serving,
 )
+from repro.autotune.choice import fastest
 
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    clear_serving_cache()
+    clear_decisions()
     yield
-    clear_serving_cache()
+    clear_decisions()
 
 
 FAST_GRID = dict(tile_candidates=(1 << 18, 1 << 20), repeats=1)
@@ -28,29 +30,29 @@ FAST_GRID = dict(tile_candidates=(1 << 18, 1 << 20), repeats=1)
 class TestMeasureServing:
     def test_probes_full_grid_and_picks_winner(self):
         decision = measure_serving(300, 8, **FAST_GRID)
-        assert set(decision.users_per_sec) == {
+        assert set(decision.seconds) == {
             (tile, dtype)
             for tile in FAST_GRID["tile_candidates"]
             for dtype in ("float32", "float64")
         }
-        assert (decision.tile_bytes, decision.dtype) == max(
-            decision.users_per_sec, key=decision.users_per_sec.get
-        )
+        # Every candidate scores the same probe block, so the fastest is
+        # the highest-throughput one.
+        assert decision.choice == min(decision.seconds, key=decision.seconds.get)
         assert decision.speedup >= 1.0
-        assert decision.n_bucket == 512
+        assert decision.key == (8, 512)
 
     def test_valid_engine_config(self):
         """The verdict must be directly usable as engine knobs."""
-        from repro.serving.engine import SERVE_DTYPES, TopNEngine
+        from repro.serving.engine import TopNEngine
 
-        decision = measure_serving(150, 4, **FAST_GRID)
-        assert decision.dtype in SERVE_DTYPES
+        tile_bytes, dtype = measure_serving(150, 4, **FAST_GRID).choice
+        assert dtype in ("float32", "float64")
         rng = np.random.default_rng(0)
         engine = TopNEngine(
             rng.standard_normal((10, 4)),
             rng.standard_normal((150, 4)),
-            tile_bytes=decision.tile_bytes,
-            dtype=decision.dtype,
+            tile_bytes=tile_bytes,
+            dtype=dtype,
         )
         assert engine.query(np.arange(10), n=5).items.shape == (10, 5)
 
@@ -86,18 +88,13 @@ class TestSelectServing:
 
     def test_cached_decisions_enumerable(self, monkeypatch):
         def canned(n_items, k, **kwargs):
-            return ServingDecision(
-                tile_bytes=1 << 20,
-                dtype="float32",
-                users_per_sec={(1 << 20, "float32"): 1.0},
-                n_items=n_items,
-                k=k,
-                n_bucket=serving_auto._n_bucket(n_items),
+            return fastest(
+                "serve", (k, bucket(n_items)), {(1 << 20, "float32"): 1.0}
             )
 
         monkeypatch.setattr(serving_auto, "measure_serving", canned)
         select_serving(64, 2)
         select_serving(64, 3)
-        decisions = cached_serving_decisions()
-        assert len(decisions) == 2
-        assert all(isinstance(d, ServingDecision) for d in decisions)
+        verdicts = decisions("serve")
+        assert len(verdicts) == 2
+        assert all(isinstance(d, Decision) for d in verdicts)

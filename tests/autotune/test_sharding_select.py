@@ -5,11 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.autotune.choice import clear_decisions, decisions
 from repro.autotune.sharding import (
     SHARD_CANDIDATES,
-    ShardingDecision,
-    cached_sharding_decisions,
-    clear_sharding_cache,
     measure_sharding,
     select_sharding,
 )
@@ -33,26 +31,24 @@ def store(tmp_path_factory):
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    clear_sharding_cache()
+    clear_decisions()
     yield
-    clear_sharding_cache()
+    clear_decisions()
 
 
 class TestMeasure:
     def test_returns_a_winner_among_candidates(self, store):
         decision = measure_sharding(store, k=4)
-        assert decision.shard_bytes in decision.seconds
-        assert decision.shard_bytes == min(
-            decision.seconds, key=decision.seconds.get
-        )
-        assert decision.nnz == store.nnz
+        assert decision.choice in decision.seconds
+        assert decision.choice == min(decision.seconds, key=decision.seconds.get)
+        assert decision.detail["nnz"] == store.nnz
         assert decision.speedup >= 1.0
 
     def test_degenerate_plans_are_measured_once(self, store):
         # The store is tiny: every candidate collapses to one resident
         # shard, so exactly one measurement should remain after dedup.
         decision = measure_sharding(store, k=4)
-        assert set(decision.shards.values()) == {1}
+        assert set(decision.detail["shards"].values()) == {1}
         assert len(decision.seconds) == 1
 
     def test_validation(self, store):
@@ -72,14 +68,14 @@ class TestMeasure:
 
 class TestSelect:
     def test_caches_per_context(self, store):
-        first = select_sharding(store, k=4)
-        second = select_sharding(store, k=4)
-        assert second is first  # same (k, nnz-bucket) → cached verdict
-        other = select_sharding(store, k=5)
-        assert other is not first
-        assert len(cached_sharding_decisions()) == 2
+        select_sharding(store, k=4)
+        (first,) = decisions("shard")
+        select_sharding(store, k=4)
+        assert decisions("shard") == (first,)  # same (k, nnz-bucket): cached
+        select_sharding(store, k=5)
+        assert len(decisions("shard")) == 2
 
     def test_clear_forgets(self, store):
         select_sharding(store, k=4)
-        clear_sharding_cache()
-        assert cached_sharding_decisions() == ()
+        clear_decisions()
+        assert decisions() == ()

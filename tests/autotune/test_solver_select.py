@@ -5,15 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autotune.solver import (
-    MAX_PROBE_BATCH,
-    SolverDecision,
-    _batch_bucket,
-    cached_solver_decisions,
-    clear_solver_cache,
-    measure_solvers,
-    select_solver,
-)
+from repro.autotune.choice import Decision, bucket, clear_decisions, decisions
+from repro.autotune.solver import MAX_PROBE_BATCH, measure_solvers, select_solver
 from repro.kernels.fastpath import fast_half_sweep
 from repro.linalg.solvers import SOLVERS
 from repro.obs import metrics as obs_metrics
@@ -23,22 +16,23 @@ from tests.conftest import random_rating_matrix
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    clear_solver_cache()
+    clear_decisions()
     yield
-    clear_solver_cache()
+    clear_decisions()
 
 
 class TestBatchBucket:
     def test_powers_of_two(self):
-        assert _batch_bucket(1) == 1
-        assert _batch_bucket(2) == 2
-        assert _batch_bucket(3) == 4
-        assert _batch_bucket(1000) == 1024
-        assert _batch_bucket(1024) == 1024
-        assert _batch_bucket(1025) == 2048
+        assert bucket(0) == 1
+        assert bucket(1) == 1
+        assert bucket(2) == 2
+        assert bucket(3) == 4
+        assert bucket(1000) == 1024
+        assert bucket(1024) == 1024
+        assert bucket(1025) == 2048
 
     def test_neighbors_share_a_bucket(self):
-        assert _batch_bucket(700) == _batch_bucket(900)
+        assert bucket(700) == bucket(900)
 
 
 class TestMeasure:
@@ -49,13 +43,13 @@ class TestMeasure:
 
     def test_winner_is_the_fastest(self):
         decision = measure_solvers(k=4, batch=16, repeats=1)
-        assert decision.solver == min(decision.seconds, key=decision.seconds.get)
+        assert decision.choice == min(decision.seconds, key=decision.seconds.get)
         assert decision.speedup >= 1.0
 
     def test_probe_batch_capped(self):
         decision = measure_solvers(k=2, batch=100_000, repeats=1)
-        assert decision.probe_batch == MAX_PROBE_BATCH
-        assert decision.batch_bucket == _batch_bucket(100_000)
+        assert decision.detail["probe_batch"] == MAX_PROBE_BATCH
+        assert decision.key == (2, bucket(100_000))
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -72,24 +66,24 @@ class TestSelect:
 
     def test_verdict_cached_per_context(self):
         select_solver(k=4, batch=33)
-        assert len(cached_solver_decisions()) == 1
+        assert len(decisions()) == 1
         select_solver(k=4, batch=40)  # same bucket (64): no re-measure
-        assert len(cached_solver_decisions()) == 1
+        assert len(decisions()) == 1
         select_solver(k=4, batch=200)  # new bucket
         select_solver(k=5, batch=33)  # new k
-        assert len(cached_solver_decisions()) == 3
+        assert len(decisions()) == 3
 
     def test_cached_decisions_are_decisions(self):
         select_solver(k=4, batch=32)
-        (decision,) = cached_solver_decisions()
-        assert isinstance(decision, SolverDecision)
-        assert decision.k == 4
-        assert decision.batch_bucket == 32  # already a power of two
+        (decision,) = decisions()
+        assert isinstance(decision, Decision)
+        assert decision.kind == "solver"
+        assert decision.key == (4, 32)  # 32 is already a power of two
 
     def test_clear_cache(self):
         select_solver(k=4, batch=32)
-        clear_solver_cache()
-        assert cached_solver_decisions() == ()
+        clear_decisions()
+        assert decisions() == ()
 
     def test_measurements_counted(self):
         obs_metrics.reset()
@@ -109,4 +103,4 @@ class TestAutoInTheSweep:
         X_auto = fast_half_sweep(R, Y, 0.1, solver="auto")
         X_ref = fast_half_sweep(R, Y, 0.1, solver="cholesky")
         np.testing.assert_allclose(X_auto, X_ref, rtol=1e-9, atol=1e-9)
-        assert len(cached_solver_decisions()) == 1
+        assert len(decisions("solver")) == 1

@@ -5,7 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.knobs import KNOBS, configure
 from repro.sparse import COOMatrix, CSRMatrix
+
+
+@pytest.fixture(autouse=True)
+def _reset_knobs():
+    """Every test starts and ends with no process-wide knob configured."""
+    configure(**dict.fromkeys(KNOBS))
+    yield
+    configure(**dict.fromkeys(KNOBS))
 
 
 @pytest.fixture

@@ -84,13 +84,28 @@ def test_old_checkpoint_loads_into_factor_model(tmp_path, meta):
         s["train_rmse"] for s in _stats(meta)
     ]
     for name, value in meta["config"].items():
-        assert getattr(rec.config, name) == value, name
+        if name != "cholesky":  # retired; see test_retired_cholesky_flag_maps
+            assert getattr(rec.config, name) == value, name
     # The field each old format lacks takes the shared default.
     defaults = TrainConfig()
-    if meta["algorithm"] == "implicit":
-        assert rec.config.cholesky == defaults.cholesky
-    else:
+    if meta["algorithm"] == "als":
         assert rec.config.alpha == defaults.alpha
+    assert not hasattr(rec.config, "cholesky")
+
+
+@pytest.mark.parametrize(
+    "cholesky, solver, expected",
+    [(True, None, None), (False, None, "gaussian"), (False, "lapack", "lapack")],
+)
+def test_retired_cholesky_flag_maps(tmp_path, cholesky, solver, expected):
+    """``"cholesky": false`` meant Gaussian elimination unless ``solver``
+    named one; ``true`` was the default and is dropped."""
+    config = dict(ALS_META["config"], cholesky=cholesky, solver=solver)
+    meta = dict(ALS_META, config=config)
+    rec = Recommender.load(_write(tmp_path / "model", meta))
+    assert rec.config.solver == expected
+    kept = {k: v for k, v in config.items() if k != "cholesky"}
+    assert rec.config == TrainConfig(**dict(kept, solver=expected))
 
 
 def test_float_history_without_stats_loads(tmp_path):

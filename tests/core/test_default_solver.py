@@ -1,7 +1,7 @@
 """Default training solves S3 with LAPACK Cholesky.
 
-A config that names no solver resolves the legacy ``cholesky=True``
-boolean to ``"lapack"``: every algorithm's training loop must call the
+A config that names no solver resolves the ``solver`` knob's default,
+``"lapack"``: every algorithm's training loop must call the
 LAPACK variant, never the from-scratch reference, and still agree with
 the reference to 1e-10.  The default path must also stay free of
 ``scipy.linalg`` (a second OpenBLAS and tens of MB of resident memory).
@@ -21,7 +21,6 @@ import repro
 from repro.core.als import POLICIES, TrainConfig, train
 from repro.datasets.catalog import DatasetSpec
 from repro.datasets.synthetic import generate_ratings
-from repro.linalg import configure_solver
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import capture
 
@@ -33,10 +32,8 @@ _SPEC = DatasetSpec(
 
 @pytest.fixture(autouse=True)
 def _no_solver_override(monkeypatch):
+    # The shared fixture already clears configured knobs.
     monkeypatch.delenv("REPRO_SOLVER", raising=False)
-    configure_solver(None)
-    yield
-    configure_solver(None)
 
 
 @pytest.fixture(scope="module")

@@ -18,20 +18,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autotune.assembly import clear_decision_cache
+from repro.autotune.choice import clear_decisions
 from repro.core import ImplicitConfig, train_implicit_als
 from repro.core.implicit import implicit_half_sweep
-from repro.linalg import configure_assembly, tile_bytes_bound
+from repro.linalg import tile_bytes_bound
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import capture
 from repro.sparse import COOMatrix, CSRMatrix
-
-
-@pytest.fixture(autouse=True)
-def _clean_assembly_config():
-    configure_assembly()
-    yield
-    configure_assembly()
 
 
 def _skewed_counts(rng: np.random.Generator, m: int = 48, n: int = 30) -> CSRMatrix:
@@ -61,7 +54,7 @@ class TestHalfSweepParity:
         np.testing.assert_allclose(tiled, full, atol=1e-10, rtol=0)
 
     def test_auto_assembly_matches_binned(self, rng):
-        clear_decision_cache()
+        clear_decisions()
         R = _skewed_counts(rng)
         Y = rng.standard_normal((R.ncols, 4))
         auto = implicit_half_sweep(R, Y, 0.1, 5.0, assembly="auto")

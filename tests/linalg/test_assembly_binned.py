@@ -10,25 +10,29 @@ from hypothesis import strategies as st
 from repro.linalg import (
     assemble_gram,
     assemble_rhs,
-    assembly_defaults,
     batched_normal_equations,
     binned_normal_equations,
-    configure_assembly,
     scatter_normal_equations,
     tile_bytes_bound,
 )
+from repro.knobs import configure, resolve
 from repro.linalg.normal_equations import DEFAULT_TILE_NNZ
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import capture, disable
 from repro.sparse import CSRMatrix
 
 
-@pytest.fixture(autouse=True)
-def _clean_assembly_config():
-    """Each test starts from (and restores) the built-in defaults."""
-    configure_assembly()
-    yield
-    configure_assembly()
+def assembly_defaults() -> dict:
+    """The resolved assembly knobs (tests start with none configured)."""
+    return {
+        "mode": resolve("assembly"),
+        "tile_nnz": resolve("tile_nnz"),
+        "compute_dtype": resolve("assembly_dtype").name,
+    }
+
+
+def reset_assembly() -> None:
+    configure(assembly=None, tile_nnz=None, assembly_dtype=None)
 
 
 def _random_matrix(
@@ -210,22 +214,22 @@ class TestDispatchAndConfig:
         }
 
     def test_configure_assembly_installs_and_resets(self):
-        configure_assembly(mode="scatter", tile_nnz=77, compute_dtype="float32")
+        configure(assembly="scatter", tile_nnz=77, assembly_dtype="float32")
         assert assembly_defaults() == {
             "mode": "scatter",
             "tile_nnz": 77,
             "compute_dtype": "float32",
         }
-        configure_assembly()
+        reset_assembly()
         assert assembly_defaults()["mode"] == "binned"
 
     def test_configure_assembly_validates(self):
         with pytest.raises(ValueError):
-            configure_assembly(mode="magic")
+            configure(assembly="magic")
         with pytest.raises(ValueError):
-            configure_assembly(tile_nnz=0)
+            configure(tile_nnz=0)
         with pytest.raises(ValueError):
-            configure_assembly(compute_dtype="float16")
+            configure(assembly_dtype="float16")
 
     def test_environment_overrides(self, monkeypatch, small_ratings, rng):
         monkeypatch.setenv("REPRO_ASSEMBLY", "scatter")
@@ -233,8 +237,8 @@ class TestDispatchAndConfig:
         monkeypatch.setenv("REPRO_ASSEMBLY_DTYPE", "float32")
         d = assembly_defaults()
         assert d == {"mode": "scatter", "tile_nnz": 123, "compute_dtype": "float32"}
-        # configure_assembly wins over the environment...
-        configure_assembly(mode="binned")
+        # configure wins over the environment...
+        configure(assembly="binned")
         assert assembly_defaults()["mode"] == "binned"
         # ...and the explicit argument wins over both.
         Y = rng.standard_normal((small_ratings.ncols, 3))

@@ -17,11 +17,11 @@ from repro.linalg import (
     batched_cholesky_solve,
     batched_gaussian_solve,
     batched_lapack_solve,
-    configure_solver,
     lapack_cholesky_factor,
     resolve_solver,
     solver_fn,
 )
+from repro.knobs import configure
 from repro.linalg.solvers import _chunk_systems
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import capture
@@ -36,12 +36,6 @@ def spd_stack(
     idx = np.arange(k)
     A[:, idx, idx] += lam
     return A, rng.standard_normal((batch, k))
-
-
-@pytest.fixture(autouse=True)
-def _reset_configured_solver():
-    yield
-    configure_solver(None)
 
 
 class TestVariantAgreement:
@@ -293,28 +287,27 @@ class TestRegistryAndResolution:
 
     def test_resolve_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_SOLVER", "gaussian")
-        configure_solver("cholesky")
+        configure(solver="cholesky")
         assert resolve_solver("lapack") == "lapack"
 
     def test_resolve_configured_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SOLVER", "gaussian")
-        configure_solver("lapack")
+        configure(solver="lapack")
         assert resolve_solver() == "lapack"
 
-    def test_resolve_env_beats_legacy_bool(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "lapack")
-        assert resolve_solver(cholesky=False) == "lapack"
+    def test_resolve_env_beats_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SOLVER", "gaussian")
+        assert resolve_solver() == "gaussian"
 
-    def test_resolve_legacy_bool_default(self, monkeypatch):
+    def test_resolve_default_is_lapack(self, monkeypatch):
         monkeypatch.delenv("REPRO_SOLVER", raising=False)
         assert resolve_solver() == "lapack"
-        assert resolve_solver(cholesky=False) == "gaussian"
 
     def test_invalid_names_rejected(self):
         with pytest.raises(ValueError):
             resolve_solver("qr")
         with pytest.raises(ValueError):
-            configure_solver("qr")
+            configure(solver="qr")
 
 
 @settings(max_examples=25, deadline=None)

@@ -20,21 +20,11 @@ from repro.datasets.synthetic import generate_ratings
 from repro.kernels.fastpath import fast_half_sweep
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import capture
-from repro.parallel import (
-    SweepExecutor,
-    configure_workers,
-    resolve_workers,
-)
-from repro.parallel.executor import _parse_workers
+from repro.knobs import configure
+from repro.parallel import SweepExecutor, resolve_workers
 from repro.sparse.csr import CSRMatrix
 
 from tests.conftest import random_rating_matrix
-
-
-@pytest.fixture(autouse=True)
-def _reset_configured_workers():
-    yield
-    configure_workers(None)
 
 
 @pytest.fixture
@@ -46,16 +36,16 @@ def ratings_matrix(rng) -> CSRMatrix:
 
 class TestWorkerResolution:
     def test_parse_auto_is_at_least_one(self):
-        assert _parse_workers("auto") >= 1
+        assert resolve_workers("auto") >= 1
 
     def test_parse_accepts_strings_and_ints(self):
-        assert _parse_workers("4") == 4
-        assert _parse_workers(3) == 3
+        assert resolve_workers("4") == 4
+        assert resolve_workers(3) == 3
 
     @pytest.mark.parametrize("bad", ["0", "-2", "many", 0])
     def test_parse_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
-            _parse_workers(bad)
+            resolve_workers(bad)
 
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
@@ -67,11 +57,11 @@ class TestWorkerResolution:
 
     def test_configured_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        configure_workers(2)
+        configure(workers=2)
         assert resolve_workers() == 2
 
     def test_explicit_beats_configured(self):
-        configure_workers(2)
+        configure(workers=2)
         assert resolve_workers(5) == 5
 
     def test_bad_env_names_the_variable(self, monkeypatch):

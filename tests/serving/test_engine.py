@@ -14,23 +14,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.knobs import configure, resolve
 from repro.serving.engine import (
     DEFAULT_TILE_BYTES,
+    DEFAULT_USER_BLOCK,
     PAD_ITEM,
     TopNEngine,
     TopNResult,
-    configure_serving,
-    serving_defaults,
     topn_from_scores,
 )
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-
-
-@pytest.fixture(autouse=True)
-def _reset_serving_config():
-    yield
-    configure_serving(None, None, None)
 
 
 def full_sort_reference(X, Y, users, n, exclude):
@@ -235,35 +229,33 @@ class TestKnobs:
 
     def test_configure_serving_sets_process_defaults(self, problem):
         X, Y, _ = problem
-        configure_serving(tile_bytes=1 << 21, dtype="float32", user_block=77)
-        tile, dtype, block = serving_defaults()
-        assert (tile, dtype, block) == (1 << 21, "float32", 77)
+        configure(serve_tile_bytes=1 << 21, serve_dtype="float32")
+        tile, dtype = resolve("serve_tile_bytes"), resolve("serve_dtype")
+        assert (tile, dtype) == (1 << 21, np.dtype(np.float32))
         engine = TopNEngine(X, Y)
         assert engine.tile_bytes == 1 << 21
         assert engine.dtype_name == "float32"
-        assert engine.user_block == 77
-        configure_serving(None, None, None)
-        assert serving_defaults()[0] == DEFAULT_TILE_BYTES
+        assert engine.user_block == DEFAULT_USER_BLOCK
+        configure(serve_tile_bytes=None, serve_dtype=None)
+        assert resolve("serve_tile_bytes") == DEFAULT_TILE_BYTES
 
     def test_env_knobs(self, problem, monkeypatch):
         X, Y, _ = problem
         monkeypatch.setenv("REPRO_SERVE_TILE_BYTES", str(1 << 22))
         monkeypatch.setenv("REPRO_SERVE_DTYPE", "float32")
-        monkeypatch.setenv("REPRO_SERVE_USER_BLOCK", "99")
+        monkeypatch.setenv("REPRO_SERVE_USER_BLOCK", "99")  # retired: ignored
         engine = TopNEngine(X, Y)
         assert engine.tile_bytes == 1 << 22
         assert engine.dtype_name == "float32"
-        assert engine.user_block == 99
+        assert engine.user_block == DEFAULT_USER_BLOCK
 
     def test_auto_consults_autotuner(self, problem, monkeypatch):
         X, Y, _ = problem
         import repro.autotune.serving as auto
 
-        sentinel = auto.ServingDecision(
-            tile_bytes=1 << 20, dtype="float32", users_per_sec={},
-            n_items=Y.shape[0], k=X.shape[1], n_bucket=512,
+        monkeypatch.setattr(
+            auto, "select_serving", lambda n, k: (1 << 20, "float32")
         )
-        monkeypatch.setattr(auto, "select_serving", lambda n, k: sentinel)
         engine = TopNEngine(X, Y, tile_bytes="auto", dtype="auto")
         assert engine.tile_bytes == 1 << 20
         assert engine.dtype_name == "float32"

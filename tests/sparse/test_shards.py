@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.shardio import build_shard_store
+from repro.knobs import configure, resolve
 from repro.parallel.executor import solve_bytes_per_row
 from repro.sparse import COOMatrix, CSCMatrix, CSRMatrix
 from repro.sparse.shards import (
@@ -25,9 +26,7 @@ from repro.sparse.shards import (
     MIN_SHARD_BYTES,
     ShardStore,
     ShardedCSR,
-    configure_sharding,
     is_shard_store,
-    resolve_shard_bytes,
 )
 
 
@@ -217,24 +216,23 @@ class TestStoreErrors:
 
 
 class TestKnobs:
-    def teardown_method(self):
-        configure_sharding()  # restore out-of-the-box behavior
-
-    def test_precedence(self, monkeypatch):
-        assert resolve_shard_bytes() == DEFAULT_SHARD_BYTES
+    def test_precedence(self, monkeypatch, tmp_path):
+        build_shard_store(tmp_path / "s", _random_coo(5, 5, 10, seed=15))
+        assert ShardStore.open(tmp_path / "s").shard_bytes == DEFAULT_SHARD_BYTES
         monkeypatch.setenv("REPRO_SHARD_BYTES", str(4 << 20))
-        assert resolve_shard_bytes() == 4 << 20
-        configure_sharding(8 << 20)
-        assert resolve_shard_bytes() == 8 << 20  # configured beats env
-        assert resolve_shard_bytes(2 << 20) == 2 << 20  # explicit wins
+        assert ShardStore.open(tmp_path / "s").shard_bytes == 4 << 20
+        configure(shard_bytes=8 << 20)
+        # configured beats env, explicit wins over both
+        assert ShardStore.open(tmp_path / "s").shard_bytes == 8 << 20
+        assert ShardStore.open(tmp_path / "s", 2 << 20).shard_bytes == 2 << 20
 
     def test_floor_enforced(self):
         with pytest.raises(ValueError, match="shard_bytes"):
-            resolve_shard_bytes(MIN_SHARD_BYTES - 1)
+            resolve("shard_bytes", MIN_SHARD_BYTES - 1)
         with pytest.raises(ValueError, match="shard_bytes"):
-            configure_sharding(1)
+            configure(shard_bytes=1)
 
     def test_bad_env_value(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARD_BYTES", "12")
         with pytest.raises(ValueError, match="REPRO_SHARD_BYTES"):
-            resolve_shard_bytes()
+            resolve("shard_bytes")
